@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Data goes to stdout (or ``--output``), diagnostics to stderr.  Exit codes:
-0 success, 1 validation or usage error, 2 internal cross-check mismatch,
-3 oracle budget refusal.
+0 success, 1 validation or usage error, 2 internal cross-check mismatch or
+negative count, 3 oracle budget refusal.
 
 Grammar: a colored value is ``COLOR:MAGNITUDE`` with decimal integers; a set
 is a comma-separated list of those or the literal ``empty``; a permutation is
@@ -408,7 +408,7 @@ def run(argv: list[str]) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except counting.CrossCheckMismatch as exc:
+    except (counting.CrossCheckMismatch, counting.NegativeCount) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CROSSCHECK
     except oracle.BudgetExceeded as exc:

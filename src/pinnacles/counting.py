@@ -16,7 +16,6 @@ Everything is plain Python integers, so results are exact at any size.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import comb
 from typing import TYPE_CHECKING
 
@@ -40,13 +39,33 @@ def _validate(m: int, n: int, d: int) -> None:
         )
 
 
-@lru_cache(maxsize=None)
+class NegativeCount(ArithmeticError):
+    """A counting route produced a negative value: a fault in the program."""
+
+    def __init__(self, method: str, m: int, n: int, d: int, value: int):
+        self.method = method
+        self.params = (m, n, d)
+        self.value = value
+        super().__init__(f"{method} gave the negative count {value} at (m={m}, n={n}, d={d})")
+
+
+def _nonnegative(method: str, m: int, n: int, d: int, value: int) -> int:
+    if value < 0:
+        raise NegativeCount(method, m, n, d, value)
+    return value
+
+
 def _rec_m(m: int, n: int, d: int) -> int:
-    if d == 0:
-        return 1
-    if m == 1:
+    # Every cell the recursion reaches is (m', n - d + e, e) with e <= d, since
+    # each step lowers degree and cardinality together: one vector over e per
+    # modulus holds them all, built up from m' = 1; the top needs only e = d.
+    if m == 1 or d == 0:
         return comb(n - 1, d)
-    return sum(comb(n, i) * _rec_m(m - 1, n - i, d - i) for i in range(d + 1))
+    base = n - d
+    row = [comb(base + e - 1, e) for e in range(d + 1)]
+    for _ in range(m - 2):
+        row = [sum(comb(base + e, i) * row[e - i] for i in range(e + 1)) for e in range(d + 1)]
+    return sum(comb(n, i) * row[d - i] for i in range(d + 1))
 
 
 def count_recursion_m(m: int, n: int, d: int) -> int:
@@ -55,35 +74,31 @@ def count_recursion_m(m: int, n: int, d: int) -> int:
     return _rec_m(m, n, d)
 
 
-@lru_cache(maxsize=None)
 def _rec_n(m: int, n: int, d: int) -> int:
     # Evaluated on the formal extension to every d >= 0: the degree recursion
     # momentarily steps past the cardinality cap of the smaller degree, where
     # the value is the same alternating partial sum continued.  Intermediate
-    # values may be negative there; top-level queries never are.
-    if d == 0:
-        return 1
+    # values may be negative there; top-level queries never are.  row[j] is
+    # the value at cardinality j of the current degree, advanced from 1 to n.
     if m == 1:
         return comb(n - 1, d)
-    if n == 1:
-        return (m - 1) * (-1) ** (d + 1)
-    return m * _rec_n(m, n - 1, d - 1) + _rec_n(m, n - 1, d)
+    row = [1] + [(m - 1) * (-1) ** (j + 1) for j in range(1, d + 1)]
+    for _ in range(n - 1):
+        row = [1] + [m * row[j - 1] + row[j] for j in range(1, d + 1)]
+    return row[d]
 
 
 def count_recursion_n(m: int, n: int, d: int) -> int:
     """Recursion in the degree: drop one letter, a pinnacle or not."""
     _validate(m, n, d)
-    value = _rec_n(m, n, d)
-    assert value >= 0
-    return value
+    return _nonnegative("recursion-in-n", m, n, d, _rec_n(m, n, d))
 
 
 def count_closed_alternating(m: int, n: int, d: int) -> int:
     """Alternating partial binomial sum: sum_i C(n,i) m^i (-1)^(i+d)."""
     _validate(m, n, d)
     value = sum(comb(n, i) * m**i * (-1) ** (i + d) for i in range(d + 1))
-    assert value >= 0
-    return value
+    return _nonnegative("closed-alternating", m, n, d, value)
 
 
 def count_closed_positive(m: int, n: int, d: int) -> int:

@@ -7,9 +7,13 @@ so the reports are an independent check of both.
 
 Two engines share one contract.  The reference engine walks real permutation
 objects through the normative pinnacle extraction; the vectorized engine
-fixes the magnitude word and sweeps all color vectors at once with numpy,
-encoding each pinnacle set as a bitmap over the mn colored values.  The scan
-is embarrassingly parallel over the leftmost word magnitude; partial reports
+sweeps a block of magnitude words against all color vectors in one numpy
+pass, encoding each pinnacle set as a bitmap over the mn colored values.
+Blocks hold about 2**17 elements, so groups with few colorings per word do
+not pay one Python iteration per word: single-threaded on a 2-core Xeon,
+G(1,1,8) runs at about 0.8 M elements/s (one coloring per word) and
+Z_2 wr S_8, Z_3 wr S_7 and G(4,4,7) at 23-39 M elements/s.  The scan is
+embarrassingly parallel over the leftmost word magnitude; partial reports
 merge by summing histograms, so any partitioning yields the same report.
 """
 
@@ -25,6 +29,9 @@ import numpy as np
 from .wreath import ColoredValue, GenPerm, GroupParams, PinSet, color_sum, pinnacle_set
 
 DEFAULT_MAX_ORDER = 10_000_000
+
+# colored rows per vectorized block: words per block = _ROWS // colorings per word
+_ROWS = 2**17
 
 # stats are keyed by the canonical pair tuple of a pinnacle set while scanning
 RawKey = tuple[tuple[int, int], ...]
@@ -46,11 +53,10 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class OracleBudget:
-    """Scan limits: group-order cap, partition width, canonical-order flag."""
+    """Scan limits: group-order cap and partition width."""
 
     max_order: int = DEFAULT_MAX_ORDER
     partitions: int = 1
-    deterministic: bool = True
 
     def __post_init__(self) -> None:
         if self.max_order < 1 or self.partitions < 1:
@@ -197,11 +203,24 @@ def _scan_vectorized(m: int, p: int, n: int, firsts: tuple[int, ...]) -> tuple[R
         keep = (eps % p) == 0
         colors = colors[keep]
         eps = eps[keep]
-    # bit index of the colored value (c, x) is c*n + x - 1; a pinnacle set is
-    # the OR of its members' bits, giving a sigma-independent integer key
-    cell_base = np.left_shift(np.int64(1), colors * n)
     eps_width = n * (m - 1) + 1
     per_word = len(colors)
+    # slot b sits strictly below slot b+1 when its color is larger, or when
+    # the colors tie and its magnitude is larger: below[b] is ge[b] at a
+    # descent of the word and gt[b] otherwise.  Slot t is a pinnacle when it
+    # is below[t-1] and not below[t], so for the two descent bits a, b around
+    # it the pinnacle mask is one of four word-independent vectors.
+    below = ((colors[:, :-1] > colors[:, 1:]).T, (colors[:, :-1] >= colors[:, 1:]).T)
+    # bit index of the colored value (c, x) is c*n + x - 1; a pinnacle set is
+    # the OR of its members' bits, giving a sigma-independent integer key.
+    # peak_cells[t-1][2a+b] holds bit c*n of slot t where it is a pinnacle
+    # under descent bits a, b and 0 elsewhere; shifting by x - 1 adds x.
+    cells = np.left_shift(np.int64(1), colors.T * n)
+    peak_cells = [
+        np.stack([cells[t] * (below[a][t - 1] & ~below[b][t]) for a in (0, 1) for b in (0, 1)])
+        for t in range(1, n - 1)
+    ]
+    block = max(1, _ROWS // per_word)
 
     agg: dict[int, int] = {}
     buf_keys: list = []
@@ -224,19 +243,18 @@ def _scan_vectorized(m: int, p: int, n: int, firsts: tuple[int, ...]) -> tuple[R
         buffered = 0
 
     scanned = 0
-    for word in _word_stream(n, firsts):
-        scanned += per_word
-        # below[b]: word slot b sits strictly below slot b+1; slots never tie
-        below = []
-        for b in range(n - 1):
-            if word[b] > word[b + 1]:
-                below.append(colors[:, b] >= colors[:, b + 1])
-            else:
-                below.append(colors[:, b] > colors[:, b + 1])
-        key = np.zeros(per_word, dtype=np.int64)
+    words = _word_stream(n, firsts)
+    while True:
+        # a block of magnitude words against every coloring: (B, per_word) keys
+        W = np.array(list(itertools.islice(words, block)), dtype=np.int64).reshape(-1, n)
+        if not len(W):
+            break
+        scanned += len(W) * per_word
+        descent = (W[:, :-1] > W[:, 1:]).astype(np.intp)
+        combo = 2 * descent[:, :-1] + descent[:, 1:]
+        key = np.zeros((len(W), per_word), dtype=np.int64)
         for t in range(1, n - 1):
-            peak = below[t - 1] & ~below[t]
-            key += (cell_base[:, t] << (word[t] - 1)) * peak
+            key |= peak_cells[t - 1][combo[:, t - 1]] << (W[:, t, None] - 1)
         combined = key * eps_width + eps
         uniq, counts = np.unique(combined, return_counts=True)
         buf_keys.append(uniq)

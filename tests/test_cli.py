@@ -99,6 +99,25 @@ class TestCountCommand:
         assert code == EXIT_CROSSCHECK
         assert out == "" and "mismatch" in err
 
+    def test_negative_count_hits_cross_check_exit(self, capsys, monkeypatch):
+        monkeypatch.setattr(counting, "_rec_n", lambda m, n, d: -3)
+        code, out, err = capture(
+            capsys, ["count", "--m", "2", "--n", "5", "--method", "recursion-in-n"]
+        )
+        assert code == EXIT_CROSSCHECK
+        assert out == "" and "negative count -3" in err
+
+    @pytest.mark.parametrize(
+        "m, n, method",
+        [(2, 600, "recursion-in-n"), (2, 600, "all"), (400, 5, "recursion-in-m")],
+    )
+    def test_deep_recursions_finish(self, capsys, m, n, method):
+        code, out, err = capture(
+            capsys, ["count", "--m", str(m), "--n", str(n), "--method", method]
+        )
+        expected = counting.count_closed_positive(m, n, counting.max_cardinality(n))
+        assert code == EXIT_OK and out == f"{expected}\n" and err == ""
+
     def test_budget_refusal_exit(self, capsys):
         code, _, err = capture(
             capsys,

@@ -7,6 +7,7 @@ import pytest
 from pinnacles import counting
 from pinnacles.counting import (
     CrossCheckMismatch,
+    NegativeCount,
     count_closed_alternating,
     count_closed_positive,
     count_complex,
@@ -102,6 +103,17 @@ class TestDispatch:
             count_pinnacle_sets(2, 5, 2, method="all")
         assert info.value.values["closed-positive"] == 0
         assert info.value.values["closed-alternating"] == 31
+
+    def test_negative_value_raises_typed_error(self, monkeypatch):
+        # a check that must hold under python -O, where asserts are stripped
+        monkeypatch.setattr(counting, "_rec_n", lambda m, n, d: -3)
+        with pytest.raises(NegativeCount) as info:
+            count_recursion_n(2, 5, 2)
+        assert info.value.method == "recursion-in-n" and info.value.value == -3
+        monkeypatch.setattr(counting, "comb", lambda a, b: -1)
+        with pytest.raises(NegativeCount) as info:
+            count_closed_alternating(2, 5, 0)
+        assert info.value.method == "closed-alternating" and info.value.params == (2, 5, 0)
 
     def test_totals(self):
         assert count_total(3, 10) == 14146

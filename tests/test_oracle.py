@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from pinnacles import oracle
 from pinnacles.admissible import canonical_witness, is_admissible, max_pinnacles
 from pinnacles.oracle import (
     BudgetExceeded,
@@ -153,7 +154,11 @@ class TestReports:
 
 
 class TestEnginesAndPartitioning:
-    GRIDS = [(1, 1, 4), (2, 1, 4), (2, 2, 4), (3, 1, 4), (2, 1, 5), (5, 1, 3), (4, 2, 4), (3, 3, 4)]
+    GRIDS = [
+        (1, 1, 4), (2, 1, 4), (2, 2, 4), (3, 1, 4), (2, 1, 5), (5, 1, 3), (4, 2, 4), (3, 3, 4),
+        # one word, one coloring per word, and p > 1 filtering across blocks
+        (1, 1, 1), (1, 1, 2), (2, 1, 2), (1, 1, 6), (2, 2, 6), (3, 3, 5),
+    ]
 
     def test_reference_and_vectorized_agree(self):
         for m, p, n in self.GRIDS:
@@ -168,6 +173,21 @@ class TestEnginesAndPartitioning:
         four = collect_pinnacle_sets(g, OracleBudget(partitions=4))
         many = collect_pinnacle_sets(g, OracleBudget(partitions=11))
         assert one == four == many
+
+    def test_block_boundaries_do_not_change_reports(self, monkeypatch):
+        # the vectorized engine sweeps _ROWS // (colorings per word) words at
+        # once; blocks of one word, and blocks of seven words, which split the
+        # 120 words of a whole scan and the 48 or 24 of each of four partitions
+        # unevenly, must give the reports of the default block size
+        for g in (GroupParams(2, 1, 5), GroupParams(3, 3, 5)):
+            per_word = g.m**g.n // g.p
+            for parts in (1, 4):
+                budget = OracleBudget(partitions=parts)
+                expected = collect_pinnacle_sets(g, budget)
+                for rows in (1, 8 * per_word - 1):
+                    monkeypatch.setattr(oracle, "_ROWS", rows)
+                    assert collect_pinnacle_sets(g, budget) == expected, (g, parts, rows)
+                    monkeypatch.undo()
 
     def test_parallel_matches_serial(self):
         g = GroupParams(2, 1, 5)
