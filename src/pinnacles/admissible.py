@@ -18,13 +18,19 @@ from .wreath import ColoredValue, GenPerm, PinSet, pinnacle_set
 class AdmissibilityError(ValueError):
     """A candidate set violates a structural precondition."""
 
+    code: str
+
 
 class MultiplicityViolation(AdmissibilityError):
     """Two elements share a magnitude, so no witness can be a bijection."""
 
+    code = "repeated-magnitude"
+
 
 class CardinalityViolation(AdmissibilityError):
     """More than floor((n-1)/2) elements; there are not enough valley slots."""
+
+    code = "too-many-pinnacles"
 
 
 def max_pinnacles(n: int) -> int:
@@ -32,12 +38,16 @@ def max_pinnacles(n: int) -> int:
     return (n - 1) // 2
 
 
-def _repeated_magnitude(P: PinSet) -> int | None:
+def _violation(P: PinSet) -> AdmissibilityError | None:
+    # the preconditions every decider shares: distinct magnitudes, then the cap
     seen: set[int] = set()
     for cv in P.elements:
         if cv.magnitude in seen:
-            return cv.magnitude
+            return MultiplicityViolation(f"repeated magnitude {cv.magnitude}")
         seen.add(cv.magnitude)
+    cap = max_pinnacles(P.n)
+    if P.d > cap:
+        return CardinalityViolation(f"{P.d} pinnacles exceed the maximum {cap} for degree {P.n}")
     return None
 
 
@@ -52,14 +62,9 @@ def canonical_witness(P: PinSet) -> GenPerm:
 
     Among all witnesses of P this one maximizes the color sum.
     """
-    repeated = _repeated_magnitude(P)
-    if repeated is not None:
-        raise MultiplicityViolation(f"repeated magnitude {repeated}")
-    cap = max_pinnacles(P.n)
-    if P.d > cap:
-        raise CardinalityViolation(
-            f"{P.d} pinnacles exceed the maximum {cap} for degree {P.n}"
-        )
+    violation = _violation(P)
+    if violation is not None:
+        raise violation
     used = P.magnitude_set()
     fillers = [x for x in range(P.n, 0, -1) if x not in used]
     top = P.m - 1
@@ -83,17 +88,10 @@ class Admissibility:
 
 def admissibility(P: PinSet) -> Admissibility:
     """Witness decider with diagnostics; never raises on a valid PinSet."""
-    repeated = _repeated_magnitude(P)
-    if repeated is not None:
-        return Admissibility(False, "repeated-magnitude", f"repeated magnitude {repeated}")
-    cap = max_pinnacles(P.n)
-    if P.d > cap:
-        return Admissibility(
-            False,
-            "too-many-pinnacles",
-            f"{P.d} pinnacles exceed the maximum {cap} for degree {P.n}",
-        )
-    witness = canonical_witness(P)
+    try:
+        witness = canonical_witness(P)
+    except AdmissibilityError as violation:
+        return Admissibility(False, violation.code, str(violation))
     if pinnacle_set(witness) != P:
         return Admissibility(False, "no-witness", "canonical witness does not realize the set")
     return Admissibility(True, witness=witness)
@@ -117,9 +115,7 @@ def is_admissible_rec(P: PinSet) -> bool:
     surviving magnitudes packed onto an initial segment) is admissible over
     modulus m-1.  The base modulus 1 falls back to the witness test.
     """
-    if P.d > max_pinnacles(P.n):
-        return False
-    if _repeated_magnitude(P) is not None:
+    if _violation(P) is not None:
         return False
     if P.m == 1:
         return is_admissible(P)
@@ -141,9 +137,7 @@ def is_admissible_top(P: PinSet) -> bool:
     color m-1 must be admissible as a plain (modulus 1) pinnacle set on the
     packed remaining magnitudes; that single base decision uses decider A.
     """
-    if P.d > max_pinnacles(P.n):
-        return False
-    if _repeated_magnitude(P) is not None:
+    if _violation(P) is not None:
         return False
     top = P.m - 1
     lower_mags = {cv.magnitude for cv in P.elements if cv.color != top}

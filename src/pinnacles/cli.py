@@ -42,12 +42,12 @@ def parse_colored_token(text: str, m: int, n: int, where: str = "token") -> wrea
     parts = text.split(":")
     if len(parts) != 2 or not all(part.isdigit() for part in parts):
         raise CliError(f"{where}: malformed colored value {text!r}, expected COLOR:MAGNITUDE")
-    color, magnitude = int(parts[0]), int(parts[1])
-    if color >= m:
-        raise CliError(f"{where}: color {color} out of range for modulus {m}")
-    if not 1 <= magnitude <= n:
-        raise CliError(f"{where}: magnitude {magnitude} out of range for degree {n}")
-    return wreath.ColoredValue(color, magnitude)
+    cv = wreath.ColoredValue(int(parts[0]), int(parts[1]))
+    try:
+        wreath.check_value(cv, m, n)
+    except ValueError as exc:
+        raise CliError(f"{where}: {exc}") from None
+    return cv
 
 
 def parse_set(text: str, m: int, n: int) -> wreath.PinSet:
@@ -120,8 +120,11 @@ def _budget_from(args) -> oracle.OracleBudget:
 
 def _emit(args, text: str) -> None:
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise CliError(f"cannot write {args.output}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -132,10 +135,7 @@ def _json_doc(payload: dict) -> str:
 
 def _cmd_count(args) -> int:
     params = wreath.GroupParams(args.m, args.p, args.n)
-    if args.p == 1:
-        value = counting.count_pinnacle_sets(args.m, args.n, args.d, args.method)
-    else:
-        value = counting.count_complex(params, args.d, args.method, budget=_budget_from(args))
+    value = counting.count_complex(params, args.d, args.method, budget=_budget_from(args))
     d = counting.max_cardinality(args.n) if args.d is None else args.d
     if args.format == "json":
         _emit(args, _json_doc({
@@ -255,13 +255,12 @@ def _cmd_table(args) -> int:
 
 def _cmd_oracle(args) -> int:
     params = wreath.GroupParams(args.m, args.p, args.n)
-    report = oracle.collect_pinnacle_sets(
-        params, budget=_budget_from(args), parallel=args.parallel
-    )
+    budget = _budget_from(args)
+    report = oracle.collect_pinnacle_sets(params, budget=budget, parallel=args.parallel)
     mismatches = []
     if args.diff:
         for d in range(counting.max_cardinality(args.n) + 1):
-            expected = counting.count_complex(params, d, budget=_budget_from(args))
+            expected = counting.count_complex(params, d, budget=budget)
             got = report.count_up_to(d)
             if expected != got:
                 mismatches.append((d, expected, got))

@@ -19,15 +19,13 @@ from __future__ import annotations
 from math import comb
 from typing import TYPE_CHECKING
 
+from .admissible import max_pinnacles
 from .wreath import GroupParams
 
 if TYPE_CHECKING:
     from .oracle import OracleBudget
 
-
-def max_cardinality(n: int) -> int:
-    """Largest possible pinnacle-set size in degree n: floor((n-1)/2)."""
-    return (n - 1) // 2
+max_cardinality = max_pinnacles
 
 
 def _validate(m: int, n: int, d: int) -> None:
@@ -186,6 +184,5 @@ def count_complex(
         return count_pinnacle_sets(g.m, g.n, d, method)
     from . import oracle
 
-    r = (g.n - 1) // 2
     base = oracle.count_admissible(GroupParams(g.p, g.p, g.n), budget=budget)
-    return base + odd_maximal_correction(g.m, g.p, r)
+    return base + odd_maximal_correction(g.m, g.p, cap)

@@ -13,13 +13,15 @@ Blocks hold about 2**17 elements, so groups with few colorings per word do
 not pay one Python iteration per word: single-threaded on a 2-core Xeon,
 G(1,1,8) runs at about 0.8 M elements/s (one coloring per word) and
 Z_2 wr S_8, Z_3 wr S_7 and G(4,4,7) at 23-39 M elements/s.  The scan is
-embarrassingly parallel over the leftmost word magnitude; partial reports
-merge by summing histograms, so any partitioning yields the same report.
+embarrassingly parallel over the leftmost word magnitude; partial tallies
+merge by summing counts, so any partitioning yields the same report.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
@@ -33,9 +35,9 @@ DEFAULT_MAX_ORDER = 10_000_000
 # colored rows per vectorized block: words per block = _ROWS // colorings per word
 _ROWS = 2**17
 
-# stats are keyed by the canonical pair tuple of a pinnacle set while scanning
+# an engine tallies witnesses by (sorted (color, magnitude) pairs of the
+# pinnacle set, color sum); partial tallies merge by Counter.update
 RawKey = tuple[tuple[int, int], ...]
-RawStats = dict[RawKey, dict[int, int]]
 
 
 class BudgetExceeded(RuntimeError):
@@ -126,15 +128,17 @@ def _check_budget(g: GroupParams, budget: OracleBudget) -> None:
 def _word_stream(n: int, firsts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     # magnitude words (position n down to 1) in lexicographic order, restricted
     # to a given set of leftmost magnitudes; the scan partitions on these
-    universe = list(range(1, n + 1))
-    if n == 1:
-        if 1 in firsts:
-            yield (1,)
-        return
     for first in sorted(firsts):
-        rest = [x for x in universe if x != first]
+        rest = [x for x in range(1, n + 1) if x != first]
         for tail in itertools.permutations(rest):
             yield (first,) + tail
+
+
+def _elements(m: int, p: int, n: int, firsts: tuple[int, ...]) -> Iterator[GenPerm]:
+    for mags in _word_stream(n, firsts):
+        for colors in itertools.product(range(m), repeat=n):
+            if sum(colors) % p == 0:
+                yield GenPerm.from_word(m, zip(colors, mags))
 
 
 def enumerate_group(g: GroupParams, budget: OracleBudget | None = None) -> Iterator[GenPerm]:
@@ -146,11 +150,7 @@ def enumerate_group(g: GroupParams, budget: OracleBudget | None = None) -> Itera
     """
     budget = budget or OracleBudget()
     _check_budget(g, budget)
-    for mags in _word_stream(g.n, tuple(range(1, g.n + 1))):
-        for colors in itertools.product(range(g.m), repeat=g.n):
-            if sum(colors) % g.p:
-                continue
-            yield GenPerm.from_word(g.m, zip(colors, mags))
+    yield from _elements(g.m, g.p, g.n, tuple(range(1, g.n + 1)))
 
 
 def witnesses_of(
@@ -164,29 +164,13 @@ def witnesses_of(
             yield w
 
 
-def _merge_raw(into: RawStats, part: RawStats) -> None:
-    for key, hist in part.items():
-        mine = into.setdefault(key, {})
-        for eps, count in hist.items():
-            mine[eps] = mine.get(eps, 0) + count
-
-
-def _scan_reference(m: int, p: int, n: int, firsts: tuple[int, ...]) -> tuple[RawStats, int]:
+def _scan_reference(m: int, p: int, n: int, firsts: tuple[int, ...]) -> Counter:
     # drives the normative GenPerm/pinnacle_set path; slow but definitionally
     # correct, used for small grids, cross-checks, and as the fallback engine
-    stats: RawStats = {}
-    scanned = 0
-    for mags in _word_stream(n, firsts):
-        for colors in itertools.product(range(m), repeat=n):
-            if sum(colors) % p:
-                continue
-            w = GenPerm.from_word(m, zip(colors, mags))
-            key = tuple(sorted((cv.color, cv.magnitude) for cv in pinnacle_set(w).elements))
-            hist = stats.setdefault(key, {})
-            eps = color_sum(w)
-            hist[eps] = hist.get(eps, 0) + 1
-            scanned += 1
-    return stats, scanned
+    return Counter(
+        (tuple(sorted((cv.color, cv.magnitude) for cv in pinnacle_set(w).elements)), color_sum(w))
+        for w in _elements(m, p, n, firsts)
+    )
 
 
 def _vector_key_bits(m: int, n: int) -> int:
@@ -194,7 +178,7 @@ def _vector_key_bits(m: int, n: int) -> int:
     return m * n + eps_width.bit_length()
 
 
-def _scan_vectorized(m: int, p: int, n: int, firsts: tuple[int, ...]) -> tuple[RawStats, int]:
+def _scan_vectorized(m: int, p: int, n: int, firsts: tuple[int, ...]) -> Counter:
     rows = m**n
     place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
     colors = (np.arange(rows, dtype=np.int64)[:, None] // place) % m
@@ -222,7 +206,7 @@ def _scan_vectorized(m: int, p: int, n: int, firsts: tuple[int, ...]) -> tuple[R
     ]
     block = max(1, _ROWS // per_word)
 
-    agg: dict[int, int] = {}
+    agg: Counter = Counter()
     buf_keys: list = []
     buf_counts: list = []
     buffered = 0
@@ -236,20 +220,17 @@ def _scan_vectorized(m: int, p: int, n: int, firsts: tuple[int, ...]) -> tuple[R
         uniq, inverse = np.unique(keys, return_inverse=True)
         totals = np.zeros(len(uniq), dtype=np.int64)
         np.add.at(totals, inverse, counts)
-        for key, total in zip(uniq.tolist(), totals.tolist()):
-            agg[key] = agg.get(key, 0) + total
+        agg.update(dict(zip(uniq.tolist(), totals.tolist())))
         buf_keys.clear()
         buf_counts.clear()
         buffered = 0
 
-    scanned = 0
     words = _word_stream(n, firsts)
     while True:
         # a block of magnitude words against every coloring: (B, per_word) keys
         W = np.array(list(itertools.islice(words, block)), dtype=np.int64).reshape(-1, n)
         if not len(W):
             break
-        scanned += len(W) * per_word
         descent = (W[:, :-1] > W[:, 1:]).astype(np.intp)
         combo = 2 * descent[:, :-1] + descent[:, 1:]
         key = np.zeros((len(W), per_word), dtype=np.int64)
@@ -264,7 +245,7 @@ def _scan_vectorized(m: int, p: int, n: int, firsts: tuple[int, ...]) -> tuple[R
             _compact()
     _compact()
 
-    stats: RawStats = {}
+    tally: Counter = Counter()
     for combined_key, count in agg.items():
         bits, eps_value = divmod(combined_key, eps_width)
         pairs = []
@@ -274,16 +255,11 @@ def _scan_vectorized(m: int, p: int, n: int, firsts: tuple[int, ...]) -> tuple[R
             color, mag = divmod(cell, n)
             pairs.append((color, mag + 1))
             bits ^= low
-        hist = stats.setdefault(tuple(pairs), {})
-        hist[eps_value] = hist.get(eps_value, 0) + count
-    return stats, scanned
+        tally[tuple(pairs), eps_value] = count
+    return tally
 
 
-def _scan_task(args: tuple) -> tuple[RawStats, int]:
-    m, p, n, firsts, engine = args
-    if engine == "reference":
-        return _scan_reference(m, p, n, firsts)
-    return _scan_vectorized(m, p, n, firsts)
+ENGINES = {"vectorized": _scan_vectorized, "reference": _scan_reference}
 
 
 def _partition_firsts(n: int, partitions: int) -> list[tuple[int, ...]]:
@@ -309,31 +285,32 @@ def collect_pinnacle_sets(
     """
     budget = budget or OracleBudget()
     _check_budget(g, budget)
+    fits = _vector_key_bits(g.m, g.n) <= 62
     if engine == "auto":
-        engine = "vectorized" if _vector_key_bits(g.m, g.n) <= 62 else "reference"
-    if engine not in ("vectorized", "reference"):
+        engine = "vectorized" if fits else "reference"
+    if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
-    if engine == "vectorized" and _vector_key_bits(g.m, g.n) > 62:
+    if engine == "vectorized" and not fits:
         raise ValueError(f"vectorized keys overflow for (m={g.m}, n={g.n}); use reference")
-    tasks = [
-        (g.m, g.p, g.n, firsts, engine)
-        for firsts in _partition_firsts(g.n, budget.partitions)
-    ]
-    if parallel and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(len(tasks), 8)) as pool:
-            partials = list(pool.map(_scan_task, tasks))
+    scan = functools.partial(ENGINES[engine], g.m, g.p, g.n)
+    parts = _partition_firsts(g.n, budget.partitions)
+    if parallel and len(parts) > 1:
+        with ProcessPoolExecutor(max_workers=min(len(parts), 8)) as pool:
+            partials = list(pool.map(scan, parts))
     else:
-        partials = [_scan_task(task) for task in tasks]
-    merged: RawStats = {}
-    scanned = 0
-    for raw, part_scanned in partials:
-        _merge_raw(merged, raw)
-        scanned += part_scanned
+        partials = [scan(firsts) for firsts in parts]
+    tally: Counter = Counter()
+    for part in partials:
+        tally.update(part)
+    scanned = sum(tally.values())
     if scanned != g.order:
         raise RuntimeError(f"scanned {scanned} elements of {g}, expected {g.order}")
+    by_set: dict[RawKey, dict[int, int]] = {}
+    for (key, eps), count in tally.items():
+        by_set.setdefault(key, {})[eps] = count
     stats: dict[PinSet, PinStats] = {}
-    for key in sorted(merged):
-        hist = merged[key]
+    for key in sorted(by_set):
+        hist = by_set[key]
         P = PinSet(g.m, g.n, tuple(ColoredValue(c, x) for c, x in key))
         stats[P] = PinStats(
             witness_count=sum(hist.values()),

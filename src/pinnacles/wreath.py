@@ -57,6 +57,14 @@ def compare(u: ColoredValue, v: ColoredValue) -> int:
     return -1 if u < v else 1
 
 
+def check_value(cv: ColoredValue, m: int, n: int) -> None:
+    """Raise ValueError unless 0 <= color < m and 1 <= magnitude <= n."""
+    if not 0 <= cv.color < m:
+        raise ValueError(f"color {cv.color} out of range for modulus {m}")
+    if not 1 <= cv.magnitude <= n:
+        raise ValueError(f"magnitude {cv.magnitude} out of range for degree {n}")
+
+
 def _coerce_value(value) -> ColoredValue:
     if isinstance(value, ColoredValue):
         return value
@@ -84,10 +92,7 @@ class GenPerm:
             raise ValueError("degree must be positive")
         seen = 0
         for cv in self.image:
-            if not 0 <= cv.color < self.m:
-                raise ValueError(f"color {cv.color} out of range for modulus {self.m}")
-            if not 1 <= cv.magnitude <= n:
-                raise ValueError(f"magnitude {cv.magnitude} out of range for degree {n}")
+            check_value(cv, self.m, n)
             bit = 1 << cv.magnitude
             if seen & bit:
                 raise ValueError(f"magnitude {cv.magnitude} repeated; not a bijection")
@@ -218,10 +223,7 @@ class PinSet:
         if self.m < 1 or self.n < 1:
             raise ValueError(f"bad ambient (m={self.m}, n={self.n})")
         for cv in elems:
-            if not 0 <= cv.color < self.m:
-                raise ValueError(f"color {cv.color} out of range for modulus {self.m}")
-            if not 1 <= cv.magnitude <= self.n:
-                raise ValueError(f"magnitude {cv.magnitude} out of range for degree {self.n}")
+            check_value(cv, self.m, self.n)
 
     @property
     def d(self) -> int:

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pinnacles import admissible, cli, counting
 from pinnacles.cli import (
@@ -132,6 +134,15 @@ class TestCountCommand:
         monkeypatch.setenv(cli.BUDGET_ENV_VAR, "notanumber")
         code, _, err = capture(capsys, ["count", "--m", "2", "--p", "2", "--n", "5"])
         assert code == EXIT_USAGE
+        # every count validates its budget, whether or not it needs a scan
+        code, out, err = capture(capsys, ["count", "--m", "3", "--n", "10"])
+        assert code == EXIT_USAGE and out == "" and "notanumber" in err
+        monkeypatch.delenv(cli.BUDGET_ENV_VAR)
+        for p in ("1", "3"):
+            code, out, err = capture(
+                capsys, ["count", "--m", "3", "--p", p, "--n", "10", "--budget", "0"]
+            )
+            assert code == EXIT_USAGE and out == "" and "budget caps must be positive" in err
 
 
 class TestCheckCommand:
@@ -315,6 +326,17 @@ class TestUsage:
         code, _, err = capture(capsys, ["count", "--m", "3"])
         assert code == EXIT_USAGE
 
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        for target, reason in (
+            (tmp_path, "Is a directory"),
+            (tmp_path / "missing" / "x.csv", "No such file or directory"),
+        ):
+            code, out, err = capture(
+                capsys, ["oracle", "--m", "2", "--n", "3", "--output", str(target)]
+            )
+            assert code == EXIT_USAGE and out == ""
+            assert err == f"error: cannot write {target}: {reason}\n"
+
     def test_module_entry_point(self):
         import subprocess
         import sys
@@ -332,3 +354,72 @@ class TestUsage:
             text=True,
         )
         assert proc.returncode == EXIT_USAGE
+
+
+# a bounded grammar over every subcommand: numbers in -2..7 (half of them from
+# 1..7, so that many argvs get as far as the output), malformed tokens, bad
+# formats and unwritable outputs, but no --parallel (no process pools)
+NUMBER = st.one_of(
+    st.integers(1, 7).map(str), st.sampled_from([str(i) for i in range(-2, 8)] + ["", "x", "2.5"])
+)
+RANGE = st.one_of(NUMBER, st.builds("{}..{}".format, NUMBER, NUMBER))
+TOKEN = st.one_of(
+    st.builds("{}:{}".format, NUMBER, NUMBER), st.sampled_from(["1", "1:2:3", "a"]),
+)
+SET = st.one_of(st.just("empty"), st.lists(TOKEN, max_size=4).map(",".join))
+PERM = st.lists(TOKEN, max_size=8).map(" ".join)
+SUBCOMMANDS = {
+    # name: (required options, optional options)
+    "count": ({"--m": NUMBER, "--n": NUMBER},
+              {"--p": NUMBER, "--d": NUMBER, "--budget": NUMBER,
+               "--method": st.sampled_from(counting.METHOD_CHOICES + ("bogus",))}),
+    "check": ({"--m": NUMBER, "--n": NUMBER, "--set": SET}, {}),
+    "witness": ({"--m": NUMBER, "--n": NUMBER, "--set": SET}, {}),
+    "pinnacles": ({"--m": NUMBER, "--n": NUMBER, "--perm": PERM}, {"--p": NUMBER}),
+    "table": ({"--m": RANGE, "--n": RANGE}, {}),
+    "oracle": ({"--m": NUMBER, "--n": NUMBER},
+               {"--p": NUMBER, "--budget": NUMBER, "--partitions": NUMBER, "--diff": None}),
+    "shift": ({"--m": NUMBER, "--n": NUMBER, "--k": NUMBER}, {"--set": SET, "--perm": PERM}),
+}
+
+
+def _word(draw, m: str, n: str) -> str:
+    # a valid word w(n)..w(1) when the drawn modulus and degree allow one
+    if not (m.isdigit() and n.isdigit() and int(m) > 0 and int(n) > 0):
+        return draw(PERM)
+    mags = draw(st.permutations(range(1, int(n) + 1)))
+    return " ".join(f"{draw(st.integers(0, int(m) - 1))}:{x}" for x in mags)
+
+
+@st.composite
+def cli_argv(draw, outputs):
+    name = draw(st.sampled_from(sorted(SUBCOMMANDS)))
+    required, optional = SUBCOMMANDS[name]
+    flags = [*required.items(), *[item for item in optional.items() if draw(st.booleans())]]
+    argv = [name]
+    for flag, values in flags:
+        if values is None:
+            argv.append(flag)
+        elif values is PERM and draw(st.booleans()):
+            argv += [flag, _word(draw, argv[2], argv[4])]
+        else:
+            argv += [flag, draw(values)]
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(["text", "json", "csv", "yaml"]))]
+    output = draw(st.sampled_from([None, *outputs]))
+    if output is not None:
+        argv += ["--output", output]
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_no_input_escapes_the_exit_codes(self, capsys, monkeypatch, tmp_path, data):
+        monkeypatch.delenv(cli.BUDGET_ENV_VAR, raising=False)
+        outputs = [str(tmp_path / "out.txt"), str(tmp_path), str(tmp_path / "missing" / "x")]
+        argv = data.draw(cli_argv(outputs))
+        code, _, err = capture(capsys, argv)
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_CROSSCHECK, EXIT_BUDGET)
+        if code == EXIT_OK:
+            assert err == ""
