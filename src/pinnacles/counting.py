@@ -4,7 +4,12 @@ p(m, n, d) is the number of admissible pinnacle sets of cardinality at most d
 in Z_m wr S_n, for 0 <= d <= floor((n-1)/2).  Four routes compute it: a
 recursion lowering the modulus, a recursion lowering the degree, an
 alternating binomial sum, and an all-nonnegative binomial sum.  They must
-agree exactly; ``method="all"`` enforces that on every call.
+agree exactly; ``method="all"`` enforces that on every call.  Each route
+keeps its own formula and gets every binomial from its neighbour by an exact
+integer ratio or by Pascal's rule, never by a fresh ``comb`` inside a loop:
+the two closed forms take O(d) big-integer steps, the degree recursion
+O(n*d), and the modulus recursion O(m*d^2) after a one-time table of
+binomial coefficients.
 
 Counts for the subgroups G(m,p,n) coincide with the full wreath product in
 every case except odd n at the maximal cardinality, where the answer reduces
@@ -17,6 +22,7 @@ Everything is plain Python integers, so results are exact at any size.
 from __future__ import annotations
 
 from math import comb
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .admissible import max_pinnacles
@@ -60,10 +66,18 @@ def _rec_m(m: int, n: int, d: int) -> int:
     if m == 1 or d == 0:
         return comb(n - 1, d)
     base = n - d
-    row = [comb(base + e - 1, e) for e in range(d + 1)]
+    # coef[e][i] = C(base + e, i) for i <= e, built once by Pascal's rule with
+    # the diagonal by ratio; the last row is C(n, i)
+    coef = [[1]]
+    for e in range(1, d + 1):
+        prev = coef[-1]
+        inner = [prev[i] + prev[i - 1] for i in range(1, e)]
+        coef.append([1] + inner + [prev[-1] * (base + e) // e])
+    # the m' = 1 vector C(base + e - 1, e), by Pascal's rule from the diagonal
+    row = [1] + [coef[e][e] - coef[e - 1][e - 1] for e in range(1, d + 1)]
     for _ in range(m - 2):
-        row = [sum(comb(base + e, i) * row[e - i] for i in range(e + 1)) for e in range(d + 1)]
-    return sum(comb(n, i) * row[d - i] for i in range(d + 1))
+        row = [sum(map(mul, c, reversed(row[: e + 1]))) for e, c in enumerate(coef)]
+    return sum(map(mul, coef[d], reversed(row)))
 
 
 def count_recursion_m(m: int, n: int, d: int) -> int:
@@ -95,16 +109,29 @@ def count_recursion_n(m: int, n: int, d: int) -> int:
 def count_closed_alternating(m: int, n: int, d: int) -> int:
     """Alternating partial binomial sum: sum_i C(n,i) m^i (-1)^(i+d)."""
     _validate(m, n, d)
-    value = sum(comb(n, i) * m**i * (-1) ** (i + d) for i in range(d + 1))
+    # from the top term C(n,d) m^d down, each C(n,i-1) m^(i-1) by exact ratio
+    term = comb(n, d) * m**d
+    value, sign = term, 1
+    for i in range(d, 0, -1):
+        term = term * i // ((n - i + 1) * m)
+        sign = -sign
+        value += sign * term
     return _nonnegative("closed-alternating", m, n, d, value)
 
 
 def count_closed_positive(m: int, n: int, d: int) -> int:
     """All-nonnegative form: sum_k (m-1)^k C(n,k) C(n-k-1, d-k)."""
     _validate(m, n, d)
-    return sum(
-        (m - 1) ** k * comb(n, k) * comb(n - k - 1, d - k) for k in range(d + 1)
-    )
+    # each term from the previous one by the exact ratio
+    # (m-1)(n-k)(d-k) / ((k+1)(n-k-1)); every term is 0 once one is
+    term = comb(n - 1, d)
+    value = term
+    for k in range(d):
+        term = term * (m - 1) * (n - k) * (d - k) // ((k + 1) * (n - k - 1))
+        if not term:
+            break
+        value += term
+    return value
 
 
 METHODS = {
@@ -159,7 +186,15 @@ def odd_maximal_correction(m: int, p: int, r: int) -> int:
     """
     k = m // p
     n = 2 * r + 1
-    return sum(comb(n, i) * p**i * (k**i - 1) * (-1) ** (i + r) for i in range(r + 1))
+    # from the top term C(n,r) p^r down by exact ratio, with k^i alongside
+    term, power = comb(n, r) * p**r, k**r
+    value, sign = term * (power - 1), 1
+    for i in range(r, 0, -1):
+        term = term * i // ((n - i + 1) * p)
+        power //= k
+        sign = -sign
+        value += sign * term * (power - 1)
+    return value
 
 
 def count_complex(

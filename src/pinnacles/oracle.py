@@ -15,6 +15,9 @@ G(1,1,8) runs at about 0.8 M elements/s (one coloring per word) and
 Z_2 wr S_8, Z_3 wr S_7 and G(4,4,7) at 23-39 M elements/s.  The scan is
 embarrassingly parallel over the leftmost word magnitude; partial tallies
 merge by summing counts, so any partitioning yields the same report.
+
+numpy is imported by the vectorized engine when a scan runs, and the process
+pool only for a parallel scan, so importing the package loads neither.
 """
 
 from __future__ import annotations
@@ -22,11 +25,8 @@ from __future__ import annotations
 import functools
 import itertools
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
-
-import numpy as np
 
 from .wreath import ColoredValue, GenPerm, GroupParams, PinSet, color_sum, pinnacle_set
 
@@ -179,6 +179,8 @@ def _vector_key_bits(m: int, n: int) -> int:
 
 
 def _scan_vectorized(m: int, p: int, n: int, firsts: tuple[int, ...]) -> Counter:
+    import numpy as np
+
     rows = m**n
     place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
     colors = (np.arange(rows, dtype=np.int64)[:, None] // place) % m
@@ -295,6 +297,8 @@ def collect_pinnacle_sets(
     scan = functools.partial(ENGINES[engine], g.m, g.p, g.n)
     parts = _partition_firsts(g.n, budget.partitions)
     if parallel and len(parts) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(len(parts), 8)) as pool:
             partials = list(pool.map(scan, parts))
     else:

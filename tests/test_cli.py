@@ -355,6 +355,37 @@ class TestUsage:
         )
         assert proc.returncode == EXIT_USAGE
 
+    def test_only_scans_load_numpy(self):
+        # numpy and the process pool load on first scan, not on import
+        import subprocess
+        import sys
+
+        script = """
+import contextlib, io, json, sys
+from pinnacles import cli
+heavy = ("numpy", "concurrent.futures")
+loaded = {"import": [0, [mod for mod in heavy if mod in sys.modules]]}
+for argv in (
+    ["count", "--m", "3", "--n", "10"],
+    ["check", "--m", "3", "--n", "10", "--set", "1:3,0:5,0:2"],
+    ["table", "--m", "1..3", "--n", "3..5"],
+    ["oracle", "--m", "2", "--n", "4"],
+):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.run(argv)
+    loaded[argv[0]] = [code, [mod for mod in heavy if mod in sys.modules]]
+print(json.dumps(loaded))
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "import": [0, []],
+            "count": [EXIT_OK, []],
+            "check": [EXIT_OK, []],
+            "table": [EXIT_OK, []],
+            "oracle": [EXIT_OK, ["numpy"]],
+        }
+
 
 # a bounded grammar over every subcommand: numbers in -2..7 (half of them from
 # 1..7, so that many argvs get as far as the output), malformed tokens, bad

@@ -71,6 +71,67 @@ class TestFormulas:
                 fn(0, 5, 1)
 
 
+# reference definitions: each route's formula with a fresh comb per term, the
+# form the kernels' term-to-term ratios must reproduce exactly
+
+
+def old_closed_alternating(m, n, d):
+    return sum(comb(n, i) * m**i * (-1) ** (i + d) for i in range(d + 1))
+
+
+def old_closed_positive(m, n, d):
+    return sum((m - 1) ** k * comb(n, k) * comb(n - k - 1, d - k) for k in range(d + 1))
+
+
+def old_recursion_m(m, n, d):
+    if m == 1 or d == 0:
+        return comb(n - 1, d)
+    base = n - d
+    row = [comb(base + e - 1, e) for e in range(d + 1)]
+    for _ in range(m - 2):
+        row = [sum(comb(base + e, i) * row[e - i] for i in range(e + 1)) for e in range(d + 1)]
+    return sum(comb(n, i) * row[d - i] for i in range(d + 1))
+
+
+def old_odd_maximal_correction(m, p, r):
+    k, n = m // p, 2 * r + 1
+    return sum(comb(n, i) * p**i * (k**i - 1) * (-1) ** (i + r) for i in range(r + 1))
+
+
+class TestKernels:
+    def test_routes_match_reference_definitions(self):
+        for m in range(1, 9):
+            for n in range(1, 81):
+                for d in range(max_cardinality(n) + 1):
+                    want = old_closed_positive(m, n, d)
+                    assert old_closed_alternating(m, n, d) == want, (m, n, d)
+                    assert count_closed_positive(m, n, d) == want, (m, n, d)
+                    assert count_closed_alternating(m, n, d) == want, (m, n, d)
+                    assert count_recursion_n(m, n, d) == want, (m, n, d)
+                    assert count_recursion_m(m, n, d) == old_recursion_m(m, n, d) == want, (
+                        m, n, d,
+                    )
+
+    def test_correction_matches_reference_definition(self):
+        for m in range(1, 13):
+            for p in range(1, m + 1):
+                if m % p == 0:
+                    for r in range(21):
+                        assert odd_maximal_correction(m, p, r) == old_odd_maximal_correction(
+                            m, p, r
+                        ), (m, p, r)
+
+    def test_large_degree_identities(self):
+        # p(m,n,d) + p(m,n,d-1) = C(n,d) m^d and p(1,n,d) = C(n-1,d)
+        for fn in (count_closed_positive, count_closed_alternating):
+            for m, n in ((2, 1400), (3, 1421), (7, 1450)):
+                for d in (1, 2, n // 3, max_cardinality(n) - 1, max_cardinality(n)):
+                    assert fn(m, n, d) + fn(m, n, d - 1) == comb(n, d) * m**d, (fn, m, n, d)
+            for n in (1400, 1433, 1450):
+                for d in (0, 1, n // 4, max_cardinality(n)):
+                    assert fn(1, n, d) == comb(n - 1, d), (fn, n, d)
+
+
 class TestFiltration:
     def test_counts_grow_with_cap_and_stay_positive(self):
         for m in (1, 2, 5):
