@@ -54,9 +54,9 @@ def _violation(P: PinSet) -> AdmissibilityError | None:
 def canonical_witness(P: PinSet) -> GenPerm:
     """The witness interleaving P with top-color fillers, both read ascending.
 
-    Word layout (positions n down to 1), with v_1 < v_2 < ... the unused
-    magnitudes in ascending order (numerically descending) and the elements
-    of P ascending:
+    Word layout (positions n down to 1), with xi^(m-1)(v_1) < xi^(m-1)(v_2)
+    < ... the top-color values on the unused magnitudes and p_1 < p_2 < ...
+    the elements of P, both ascending in the order of ``ColoredValue``:
 
         xi^(m-1)(v_1)  p_1  xi^(m-1)(v_2)  p_2 ... p_d  xi^(m-1)(v_{d+1}) ...
 
@@ -66,13 +66,8 @@ def canonical_witness(P: PinSet) -> GenPerm:
     if violation is not None:
         raise violation
     used = P.magnitude_set()
-    fillers = [x for x in range(P.n, 0, -1) if x not in used]
-    top = P.m - 1
-    word: list[ColoredValue] = []
-    for i, pin in enumerate(P.elements):
-        word.append(ColoredValue(top, fillers[i]))
-        word.append(pin)
-    word.extend(ColoredValue(top, v) for v in fillers[P.d :])
+    fillers = sorted(ColoredValue(P.m - 1, x) for x in range(1, P.n + 1) if x not in used)
+    word = [v for pair in zip(fillers, P.elements) for v in pair] + fillers[P.d :]
     return GenPerm.from_word(P.m, word)
 
 
@@ -103,7 +98,11 @@ def is_admissible(P: PinSet) -> bool:
 
 
 def _pack(alive: list[int]) -> dict[int, int]:
-    # order-preserving relabeling of the surviving magnitudes onto 1..len(alive)
+    # order-preserving relabeling of the surviving magnitudes onto 1..len(alive).
+    # Deciders B and C rely on it: packing keeps the magnitude order and moving
+    # colors keeps the color order, so the smaller problem is ordered like the
+    # larger one while each moved color has the magnitude direction of the
+    # color it lands on.
     return {x: i for i, x in enumerate(sorted(alive), start=1)}
 
 
@@ -160,9 +159,9 @@ class ColoredWitness:
 def colored_admissible_degree(P: PinSet) -> ColoredWitness:
     """Smallest-construction degree N = 2L+1 admitting a one-colored set.
 
-    L is the largest magnitude in P (the least element of |P| under the
-    reversed order), so all of P fits below the midpoint and the standard
-    interleaving witnesses it in Z_m wr S_N.
+    L is the largest magnitude in P, so all of P fits below the midpoint and
+    the canonical witness, laid out in the order of ``ColoredValue``,
+    interleaves it in Z_m wr S_N.
     """
     if not P.elements:
         raise ValueError("empty set has no colored degree")

@@ -8,7 +8,8 @@ Grammar: a colored value is ``COLOR:MAGNITUDE`` with decimal integers; a set
 is a comma-separated list of those or the literal ``empty``; a permutation is
 a whitespace-separated list, written from position n down to 1.  Text output
 renders colored values as ``xi^a(x)``; json and csv carry the token grammar,
-and every emitted token string reparses to an equal value.
+and every emitted token string reparses to an equal value.  Only count, table
+and oracle, which print rows, offer csv.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class _Parser(argparse.ArgumentParser):
 def parse_colored_token(text: str, m: int, n: int, where: str = "token") -> wreath.ColoredValue:
     """Parse one COLOR:MAGNITUDE token, range-checked against the ambient (m, n)."""
     parts = text.split(":")
-    if len(parts) != 2 or not all(part.isdigit() for part in parts):
+    if len(parts) != 2 or not all(part.isdecimal() for part in parts):
         raise CliError(f"{where}: malformed colored value {text!r}, expected COLOR:MAGNITUDE")
     cv = wreath.ColoredValue(int(parts[0]), int(parts[1]))
     try:
@@ -340,7 +341,9 @@ def _add_common(sub, *, p: bool = False, d: bool = False, budget: bool = False):
         sub.add_argument("--budget", type=int, default=None,
                          help=f"oracle group-order cap (default {BUDGET_ENV_VAR} or "
                               f"{oracle.DEFAULT_MAX_ORDER})")
-    sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    # the commands with a budget (count, oracle) print rows, so they offer csv
+    formats = ("text", "json", "csv") if budget else ("text", "json")
+    sub.add_argument("--format", choices=formats, default="text")
     sub.add_argument("--output", default=None, help="write data here instead of stdout")
 
 

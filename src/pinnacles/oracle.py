@@ -191,12 +191,16 @@ def _scan_vectorized(m: int, p: int, n: int, firsts: tuple[int, ...]) -> Counter
         eps = eps[keep]
     eps_width = n * (m - 1) + 1
     per_word = len(colors)
-    # slot b sits strictly below slot b+1 when its color is larger, or when
-    # the colors tie and its magnitude is larger: below[b] is ge[b] at a
-    # descent of the word and gt[b] otherwise.  Slot t is a pinnacle when it
-    # is below[t-1] and not below[t], so for the two descent bits a, b around
-    # it the pinnacle mask is one of four word-independent vectors.
-    below = ((colors[:, :-1] > colors[:, 1:]).T, (colors[:, :-1] >= colors[:, 1:]).T)
+    # below[a][b]: slot b sits strictly below slot b+1, where a is the descent
+    # bit of the word there.  The table reads ColoredValue.__lt__, which is
+    # exact because the order compares different colors by color alone and
+    # equal colors by magnitude, in a direction that depends only on the
+    # color.  Slot t is a pinnacle when it is below[t-1] and not below[t], so
+    # for the two descent bits a, b around it the pinnacle mask is one of four
+    # word-independent vectors.
+    lt = np.array([[[ColoredValue(c, 1 + a) < ColoredValue(e, 2 - a) for e in range(m)]
+                    for c in range(m)] for a in (0, 1)])
+    below = tuple(lt[a][colors[:, :-1], colors[:, 1:]].T for a in (0, 1))
     # bit index of the colored value (c, x) is c*n + x - 1; a pinnacle set is
     # the OR of its members' bits, giving a sigma-independent integer key.
     # peak_cells[t-1][2a+b] holds bit c*n of slot t where it is a pinnacle

@@ -6,8 +6,8 @@ sends the plain magnitudes 1..n.  We store that image by position and never
 evaluate xi as a complex number: every comparison and identity downstream
 depends on the exponents alone.
 
-The total order puts higher colors lower, and within one color larger
-magnitudes lower:
+The total order, defined once by ``ColoredValue.__lt__``, puts higher colors
+lower, and within one color larger magnitudes lower:
 
     xi^(m-1)(n) < ... < xi^1(1) < xi^0(n) < ... < xi^0(2) < xi^0(1)
 
@@ -20,14 +20,16 @@ here is safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
+@functools.total_ordering
 @dataclass(frozen=True)
 class ColoredValue:
-    """A symbolic xi^color(magnitude), ordered by the reversed-color order."""
+    """A symbolic xi^color(magnitude); ``__lt__`` is the one definition of the order."""
 
     color: int
     magnitude: int
@@ -36,15 +38,6 @@ class ColoredValue:
         if self.color != other.color:
             return self.color > other.color
         return self.magnitude > other.magnitude
-
-    def __le__(self, other: "ColoredValue") -> bool:
-        return self == other or self < other
-
-    def __gt__(self, other: "ColoredValue") -> bool:
-        return other < self
-
-    def __ge__(self, other: "ColoredValue") -> bool:
-        return other <= self
 
     def __str__(self) -> str:
         return f"xi^{self.color}({self.magnitude})"

@@ -9,6 +9,12 @@ form #APS(2,2,2r+1) = #APS(2,1,2r+1) - (1/2)#APS(1,1,2r+1), at r = 1, 2.  The
 form quoted with a plus sign is a misprint: G(2,2,n) is a subgroup of
 Z_2 wr S_n, so its admissible sets are a subset of the full group's, and the
 plus form would give 6 > 5 at r = 1.
+
+Beside criterion 6, an unnumbered test records where each candidate order on
+the colored values stands on three facts from the paper: (a) that identity at
+r = 3, (b) the odd-maximal reduction of G(6,3,5), and (c) the color-shift
+embedding at n = 5.  It swaps ``ColoredValue.__lt__`` alone, so it also shows
+that both scan engines read the order from there.
 """
 
 import itertools
@@ -24,6 +30,7 @@ from pinnacles.admissible import (
 )
 from pinnacles.cli import run
 from pinnacles.counting import count_complex, count_pinnacle_sets, max_cardinality
+from pinnacles.oracle import collect_pinnacle_sets
 from pinnacles.shifts import ShiftParams, shift_perm, shift_set
 from pinnacles.wreath import (
     ColoredValue,
@@ -204,6 +211,87 @@ def test_criterion_6_odd_maximal_pipeline(capsys, reports):
     elapsed = time.perf_counter() - start
     with capsys.disabled():
         _verdict(6, "odd-maximal-pipeline", failures, elapsed, 60.0)
+
+
+# candidate orders on the colored values: each keeps higher colors lower and
+# names, for a modulus m, the colors whose magnitudes ascend; the documented
+# order has none
+CANDIDATE_ORDERS = {
+    "documented": lambda m, c: False,
+    "color0-asc": lambda m, c: c == 0,
+    "odd-asc": lambda m, c: c % 2 == 1,
+    "even-asc": lambda m, c: c % 2 == 0,
+    "top-asc": lambda m, c: c == m - 1,
+}
+
+# shifts (source modulus, k) checked by (c), at n = 5
+STATUS_SHIFTS = ((1, 1), (2, 1), (2, 2), (1, 2))
+
+# per order: #APS(2,2,7), (b) as (#APS(6,3,5), #APS(3,3,5) + correction),
+# #APS(3,3,5), and for each of STATUS_SHIFTS (sets shift_set loses, sets)
+ORDER_STATUS = {
+    "documented": (192, (319, 319), 64, ((0, 6), (0, 31), (0, 31), (0, 6))),
+    "color0-asc": (199, (319, 321), 66, ((4, 6), (0, 31), (0, 31), (4, 6))),
+    "odd-asc": (199, (319, 319), 64, ((4, 6), (14, 31), (0, 31), (0, 6))),
+    "even-asc": (199, (319, 319), 64, ((4, 6), (14, 31), (0, 31), (0, 6))),
+    "top-asc": (199, (321, 321), 66, ((0, 6), (0, 31), (0, 31), (0, 6))),
+}
+
+
+def _candidate_lt(ascends):
+    def lt(self, other):
+        if self.color != other.color:
+            return self.color > other.color
+        if ascends(self.color):
+            return self.magnitude < other.magnitude
+        return self.magnitude > other.magnitude
+
+    return lt
+
+
+def test_candidate_order_status(capsys, monkeypatch):
+    # (a) holds when 2 #APS(2,2,7) = 2 #APS(2,1,7) - #APS(1,1,7), that is at
+    # 199; the session reports cache is never used, since it holds reports
+    # computed under the documented order
+    start = time.perf_counter()
+    failures = []
+    lines = []
+    for name, ascends in CANDIDATE_ORDERS.items():
+
+        def scan(m, p, n, engine="vectorized"):
+            # every PinSet is built under the order of the group it belongs to
+            monkeypatch.setattr(ColoredValue, "__lt__", _candidate_lt(lambda c: ascends(m, c)))
+            return collect_pinnacle_sets(GroupParams(m, p, n), engine=engine)
+
+        for m, p, n in [(2, 2, 5), (3, 3, 5), (2, 1, 5), (4, 2, 5), (3, 1, 4)]:
+            if scan(m, p, n) != scan(m, p, n, "reference"):
+                failures.append(f"{name}: engines disagree on G({m},{p},{n})")
+        totals = [scan(m, p, 7).total_admissible for m, p in [(2, 1), (1, 1)]]
+        if totals != [209, 20]:
+            failures.append(f"{name}: #APS(2,1,7), #APS(1,1,7) = {totals}, expected 209, 20")
+        subgroup = scan(2, 2, 7).total_admissible
+        irreducible = scan(3, 3, 5).total_admissible
+        reduction = (
+            scan(6, 3, 5).total_admissible,
+            irreducible + counting.odd_maximal_correction(6, 3, 2),
+        )
+        lost = []
+        for m, k in STATUS_SHIFTS:
+            sets = scan(m, 1, 5).stats
+            target = scan(m + k, 1, 5).stats
+            # shift_set sorts its set under the target's order, patched last
+            shift = ShiftParams(m, k, 5)
+            lost.append((sum(shift_set(P, shift) not in target for P in sets), len(sets)))
+        status = (subgroup, reduction, irreducible, tuple(lost))
+        if status != ORDER_STATUS[name]:
+            failures.append(f"{name}: status {status}, expected {ORDER_STATUS[name]}")
+        identity = "holds" if 2 * subgroup == 2 * totals[0] - totals[1] else "fails"
+        lines.append(f"  {name}: G(2,2,7) {subgroup} (a) {identity}, (b) {reduction}, "
+                     f"G(3,3,5) {irreducible}, (c) lost {lost}")
+    elapsed = time.perf_counter() - start
+    with capsys.disabled():
+        print("\n".join(lines))
+        _verdict("-", "candidate-order-status", failures, elapsed)
 
 
 def test_criterion_7_witness_properties(capsys, reports):

@@ -42,8 +42,8 @@ class TestGrammar:
             parse_colored_token("0:11", 3, 10)
 
     def test_malformed_tokens(self):
-        for bad in ("", "1", "1:", ":3", "a:b", "1:2:3", "-1:2"):
-            with pytest.raises(CliError):
+        for bad in ("", "1", "1:", ":3", "a:b", "1:2:3", "-1:2", "²:1", "1:³"):
+            with pytest.raises(CliError, match="malformed colored value"):
                 parse_colored_token(bad, 3, 10)
 
     def test_error_carries_position(self):
@@ -321,6 +321,16 @@ class TestUsage:
     def test_unknown_command(self, capsys):
         code, _, err = capture(capsys, ["frobnicate"])
         assert code == EXIT_USAGE and err
+        # csv is offered only by the commands that print rows
+        for argv in (
+            ["check", "--m", "3", "--n", "10", "--set", "1:3,0:5,0:2"],
+            ["witness", "--m", "3", "--n", "10", "--set", "1:3"],
+            ["pinnacles", "--m", "2", "--n", "3", "--perm", "0:1 0:3 0:2"],
+            ["shift", "--m", "2", "--n", "3", "--k", "1", "--set", "0:1"],
+        ):
+            code, out, err = capture(capsys, argv + ["--format", "csv"])
+            assert code == EXIT_USAGE and out == ""
+            assert "invalid choice: 'csv'" in err
 
     def test_missing_required(self, capsys):
         code, _, err = capture(capsys, ["count", "--m", "3"])
