@@ -4,6 +4,10 @@ Data goes to stdout (or ``--output``), diagnostics to stderr.  Exit codes:
 0 success, 1 validation or usage error, 2 internal cross-check mismatch or
 negative count, 3 oracle budget refusal.
 
+Handlers compute a record; ``_emit`` is the one output path (the only reader
+of ``--format`` and ``--output``) and ``run`` the one place that picks the
+exit code and writes to stderr.
+
 Grammar: a colored value is ``COLOR:MAGNITUDE`` with decimal integers; a set
 is a comma-separated list of those or the literal ``empty``; a permutation is
 a whitespace-separated list, written from position n down to 1.  Text output
@@ -31,6 +35,10 @@ EXIT_BUDGET = 3
 
 class CliError(Exception):
     """Input rejected before dispatch; maps to exit code 1."""
+
+
+class CrossCheckFailure(Exception):
+    """Two independent routes inside a command disagree; maps to exit code 2."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,142 +127,118 @@ def _budget_from(args) -> oracle.OracleBudget:
     )
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, doc: dict, text: str, csv: str | None = None) -> None:
+    """Render one record in the chosen ``--format`` and write it to stdout or ``--output``."""
+    if args.format == "json":
+        data = json.dumps(doc, sort_keys=True) + "\n"
+    elif args.format == "csv":
+        data = csv
+    else:
+        data = text
     if args.output:
         try:
             with open(args.output, "w") as handle:
-                handle.write(text)
+                handle.write(data)
         except OSError as exc:
             raise CliError(f"cannot write {args.output}: {exc.strerror}") from None
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(data)
 
 
-def _json_doc(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True) + "\n"
-
-
-def _cmd_count(args) -> int:
+def _cmd_count(args) -> None:
     params = wreath.GroupParams(args.m, args.p, args.n)
-    value = counting.count_complex(params, args.d, args.method, budget=_budget_from(args))
+    value = str(counting.count_complex(params, args.d, args.method, budget=_budget_from(args)))
     d = counting.max_cardinality(args.n) if args.d is None else args.d
-    if args.format == "json":
-        _emit(args, _json_doc({
-            "params": {"m": args.m, "p": args.p, "n": args.n, "d": d},
-            "method": args.method,
-            "value": str(value),
-        }))
-    elif args.format == "csv":
-        _emit(args, f"m,p,n,d,value\n{args.m},{args.p},{args.n},{d},{value}\n")
-    else:
-        _emit(args, f"{value}\n")
-    return EXIT_OK
+    doc = {
+        "params": {"m": args.m, "p": args.p, "n": args.n, "d": d},
+        "method": args.method,
+        "value": value,
+    }
+    _emit(args, doc, f"{value}\n", f"m,p,n,d,value\n{args.m},{args.p},{args.n},{d},{value}\n")
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> None:
     P = parse_set(args.set, args.m, args.n)
     result = admissible.admissibility(P)
     rec = admissible.is_admissible_rec(P)
     top = admissible.is_admissible_top(P)
     if not result.admissible == rec == top:
-        print(
+        raise CrossCheckFailure(
             f"decider disagreement on {set_tokens(P)}: "
-            f"witness={result.admissible} recursive={rec} top={top}",
-            file=sys.stderr,
+            f"witness={result.admissible} recursive={rec} top={top}"
         )
-        return EXIT_CROSSCHECK
-    if args.format == "json":
-        _emit(args, _json_doc({
-            "params": {"m": args.m, "n": args.n},
-            "set": set_tokens(P),
-            "admissible": result.admissible,
-            "reason": result.reason,
-            "witness": perm_tokens(result.witness) if result.witness else None,
-            "deciders": {"witness": result.admissible, "recursive": rec, "top": top},
-        }))
-    elif result.admissible:
-        _emit(args, f"admissible\nwitness: {result.witness}\n")
+    doc = {
+        "params": {"m": args.m, "n": args.n},
+        "set": set_tokens(P),
+        "admissible": result.admissible,
+        "reason": result.reason,
+        "witness": perm_tokens(result.witness) if result.witness else None,
+        "deciders": {"witness": result.admissible, "recursive": rec, "top": top},
+    }
+    if result.admissible:
+        text = f"admissible\nwitness: {result.witness}\n"
     else:
-        _emit(args, f"inadmissible: {result.reason}\n")
-    return EXIT_OK
+        text = f"inadmissible: {result.reason}\n"
+    _emit(args, doc, text)
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args) -> None:
     P = parse_set(args.set, args.m, args.n)
     try:
         w = admissible.canonical_witness(P)
     except admissible.AdmissibilityError as exc:
         raise CliError(str(exc)) from None
-    if args.format == "json":
-        _emit(args, _json_doc({
-            "params": {"m": args.m, "n": args.n},
-            "set": set_tokens(P),
-            "witness": perm_tokens(w),
-            "realizes": admissible.is_admissible(P),
-        }))
-    else:
-        _emit(args, f"{w}\n")
-    return EXIT_OK
+    doc = {
+        "params": {"m": args.m, "n": args.n},
+        "set": set_tokens(P),
+        "witness": perm_tokens(w),
+        "realizes": admissible.is_admissible(P),
+    }
+    _emit(args, doc, f"{w}\n")
 
 
-def _cmd_pinnacles(args) -> int:
+def _cmd_pinnacles(args) -> None:
     w = parse_perm(args.perm, args.m, args.n)
     params = wreath.GroupParams(args.m, args.p, args.n)
     pins = wreath.pinnacle_set(w)
     peak_positions = sorted(wreath.peaks(w), reverse=True)
     eps = wreath.color_sum(w)
     member = wreath.in_subgroup(w, params)
-    if args.format == "json":
-        _emit(args, _json_doc({
-            "params": {"m": args.m, "p": args.p, "n": args.n},
-            "perm": perm_tokens(w),
-            "pinnacles": set_tokens(pins),
-            "peaks": peak_positions,
-            "color_sum": eps,
-            "in_subgroup": member,
-        }))
-    else:
-        _emit(args, (
-            f"pinnacles: {pins}\n"
-            f"peaks: {', '.join(map(str, peak_positions)) if peak_positions else 'none'}\n"
-            f"color sum: {eps}\n"
-            f"in {params}: {'yes' if member else 'no'}\n"
-        ))
-    return EXIT_OK
+    doc = {
+        "params": {"m": args.m, "p": args.p, "n": args.n},
+        "perm": perm_tokens(w),
+        "pinnacles": set_tokens(pins),
+        "peaks": peak_positions,
+        "color_sum": eps,
+        "in_subgroup": member,
+    }
+    _emit(args, doc, (
+        f"pinnacles: {pins}\n"
+        f"peaks: {', '.join(map(str, peak_positions)) if peak_positions else 'none'}\n"
+        f"color sum: {eps}\n"
+        f"in {params}: {'yes' if member else 'no'}\n"
+    ))
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> None:
     ms = _parse_range(args.m, "m")
     ns = _parse_range(args.n, "n")
     if min(ns) < 2:
         raise CliError("table needs n >= 2")
-    cells = [(m, n, counting.count_total(m, n, args.method)) for m in ms for n in ns]
-    if args.format == "csv":
-        lines = ["m,n,count"] + [f"{m},{n},{v}" for m, n, v in cells]
-        _emit(args, "\n".join(lines) + "\n")
-    elif args.format == "json":
-        _emit(args, _json_doc({
-            "method": args.method,
-            "rows": [{"m": m, "n": n, "count": str(v)} for m, n, v in cells],
-        }))
-    else:
-        width = max(
-            [len(str(v)) for _, _, v in cells]
-            + [len(str(n)) for n in ns]
-            + [len(f"m={max(ms)}")]
-        )
-        corner = "m\\n"
-        header = " ".join([f"{corner:>{width}}"] + [f"{n:>{width}}" for n in ns])
-        lines = [header]
-        for m in ms:
-            row = [f"{f'm={m}':>{width}}"]
-            row += [f"{v:>{width}}" for mm, n, v in cells if mm == m]
-            lines.append(" ".join(row))
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    cells = [(m, n, str(counting.count_total(m, n, args.method))) for m in ms for n in ns]
+    doc = {
+        "method": args.method,
+        "rows": [{"m": m, "n": n, "count": v} for m, n, v in cells],
+    }
+    csv = ["m,n,count"] + [f"{m},{n},{v}" for m, n, v in cells]
+    grid = [["m\\n", *map(str, ns)]]
+    grid += [[f"m={m}", *(v for mm, _, v in cells if mm == m)] for m in ms]
+    width = max(len(entry) for row in grid for entry in row)
+    text = [" ".join(f"{entry:>{width}}" for entry in row) for row in grid]
+    _emit(args, doc, "\n".join(text) + "\n", "\n".join(csv) + "\n")
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> None:
     params = wreath.GroupParams(args.m, args.p, args.n)
     budget = _budget_from(args)
     report = oracle.collect_pinnacle_sets(params, budget=budget, parallel=args.parallel)
@@ -264,69 +248,53 @@ def _cmd_oracle(args) -> int:
             expected = counting.count_complex(params, d, budget=budget)
             got = report.count_up_to(d)
             if expected != got:
-                mismatches.append((d, expected, got))
+                mismatches.append(
+                    f"oracle/formula mismatch at d={d}: formulas say {expected}, scan found {got}"
+                )
     rows = []
     for P in report.sorted_sets():
         stats = report.stats[P]
         rows.append((set_tokens(P), len(P), stats.witness_count, stats.eps_min, stats.eps_max))
-    if args.format == "json":
-        _emit(args, _json_doc({
-            "params": {"m": args.m, "p": args.p, "n": args.n},
-            "scanned": report.scanned,
-            "total_admissible": report.total_admissible,
-            "by_cardinality": {
-                str(d): len(sets) for d, sets in report.by_cardinality().items()
-            },
-            "sets": [
-                {"set": s, "cardinality": d, "witnesses": w, "eps_min": lo, "eps_max": hi}
-                for s, d, w, lo, hi in rows
-            ],
-        }))
-    elif args.format == "csv":
-        lines = ["set,cardinality,witnesses,eps_min,eps_max"]
-        lines += [f"\"{s}\",{d},{w},{lo},{hi}" for s, d, w, lo, hi in rows]
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        lines = [
-            f"{params}: scanned {report.scanned} elements, "
-            f"{report.total_admissible} admissible pinnacle sets"
-        ]
-        for d, sets in report.by_cardinality().items():
-            lines.append(f"cardinality {d}: {len(sets)} sets")
-        for s, d, w, lo, hi in rows:
-            lines.append(f"  {s}  witnesses={w}  eps=[{lo},{hi}]")
-        _emit(args, "\n".join(lines) + "\n")
-    if mismatches:
-        for d, expected, got in mismatches:
-            print(
-                f"oracle/formula mismatch at d={d}: formulas say {expected}, scan found {got}",
-                file=sys.stderr,
-            )
-        return EXIT_CROSSCHECK
-    return EXIT_OK
+    by_cardinality = {str(d): len(sets) for d, sets in report.by_cardinality().items()}
+    doc = {
+        "params": {"m": args.m, "p": args.p, "n": args.n},
+        "scanned": report.scanned,
+        "total_admissible": report.total_admissible,
+        "by_cardinality": by_cardinality,
+        "sets": [
+            {"set": s, "cardinality": d, "witnesses": w, "eps_min": lo, "eps_max": hi}
+            for s, d, w, lo, hi in rows
+        ],
+    }
+    csv = ["set,cardinality,witnesses,eps_min,eps_max"]
+    csv += [f"\"{s}\",{d},{w},{lo},{hi}" for s, d, w, lo, hi in rows]
+    text = [
+        f"{params}: scanned {report.scanned} elements, "
+        f"{report.total_admissible} admissible pinnacle sets"
+    ]
+    text += [f"cardinality {d}: {size} sets" for d, size in by_cardinality.items()]
+    text += [f"  {s}  witnesses={w}  eps=[{lo},{hi}]" for s, d, w, lo, hi in rows]
+    _emit(args, doc, "\n".join(text) + "\n", "\n".join(csv) + "\n")
+    if mismatches:  # raised after the report is written, so the report shows what disagreed
+        raise CrossCheckFailure("\n".join(mismatches))
 
 
-def _cmd_shift(args) -> int:
+def _cmd_shift(args) -> None:
     if (args.set is None) == (args.perm is None):
         raise CliError("shift needs exactly one of --set or --perm")
     params = shifts.ShiftParams(args.m, args.k, args.n)
     if args.set is not None:
-        P = parse_set(args.set, args.m, args.n)
-        shifted = shifts.shift_set(P, params)
-        tokens, pretty = set_tokens(shifted), str(shifted)
+        shifted = shifts.shift_set(parse_set(args.set, args.m, args.n), params)
+        tokens = set_tokens(shifted)
     else:
-        w = parse_perm(args.perm, args.m, args.n)
-        shifted = shifts.shift_perm(w, params)
-        tokens, pretty = perm_tokens(shifted), str(shifted)
-    if args.format == "json":
-        _emit(args, _json_doc({
-            "params": {"m": args.m, "k": args.k, "n": args.n,
-                       "target_modulus": params.target_modulus},
-            "result": tokens,
-        }))
-    else:
-        _emit(args, pretty + "\n")
-    return EXIT_OK
+        shifted = shifts.shift_perm(parse_perm(args.perm, args.m, args.n), params)
+        tokens = perm_tokens(shifted)
+    doc = {
+        "params": {"m": args.m, "k": args.k, "n": args.n,
+                   "target_modulus": params.target_modulus},
+        "result": tokens,
+    }
+    _emit(args, doc, f"{shifted}\n")
 
 
 def _add_common(sub, *, p: bool = False, d: bool = False, budget: bool = False):
@@ -402,23 +370,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> int:
-    """Parse and dispatch; returns the process exit code."""
-    parser = build_parser()
+    """Parse and dispatch; the one place that turns an outcome into the exit code."""
+    if hasattr(sys, "set_int_max_str_digits"):  # counts are exact, so print every digit
+        sys.set_int_max_str_digits(0)
     try:
-        args = parser.parse_args(argv)
-        return args.handler(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (counting.CrossCheckMismatch, counting.NegativeCount) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CROSSCHECK
+        args = build_parser().parse_args(argv)
+        args.handler(args)
+        return EXIT_OK
+    except (CrossCheckFailure, counting.CrossCheckMismatch, counting.NegativeCount) as exc:
+        error, code = exc, EXIT_CROSSCHECK
     except oracle.BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        error, code = exc, EXIT_BUDGET
+    except (CliError, ValueError) as exc:
+        error, code = exc, EXIT_USAGE
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 def main() -> None:

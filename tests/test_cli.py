@@ -20,7 +20,7 @@ from pinnacles.cli import (
     run,
     set_tokens,
 )
-from pinnacles.wreath import ColoredValue, GenPerm, PinSet
+from pinnacles.wreath import ColoredValue, GenPerm, GroupParams, PinSet
 
 
 def capture(capsys, argv):
@@ -119,6 +119,18 @@ class TestCountCommand:
         )
         expected = counting.count_closed_positive(m, n, counting.max_cardinality(n))
         assert code == EXIT_OK and out == f"{expected}\n" and err == ""
+
+    def test_counts_print_in_full_at_any_size(self, capsys):
+        # 10,789 digits, past CPython's default 4,300-digit cap on int-to-str conversion
+        argv = ["count", "--m", "3", "--n", "20000"]
+        outputs = {fmt: capture(capsys, argv + ["--format", fmt]) for fmt in ("text", "json", "csv")}
+        value = str(counting.count_closed_positive(3, 20000, counting.max_cardinality(20000)))
+        assert len(value) == 10789
+        for code, _, err in outputs.values():
+            assert code == EXIT_OK and err == ""
+        assert outputs["text"][1] == f"{value}\n"
+        assert json.loads(outputs["json"][1])["value"] == value
+        assert outputs["csv"][1] == f"m,p,n,d,value\n3,1,20000,9999,{value}\n"
 
     def test_budget_refusal_exit(self, capsys):
         code, _, err = capture(
@@ -279,6 +291,23 @@ class TestOracleCommand:
     def test_diff_agrees(self, capsys):
         code, _, err = capture(capsys, ["oracle", "--m", "3", "--p", "1", "--n", "5", "--diff"])
         assert code == EXIT_OK and err == ""
+
+    def test_diff_mismatch_reports_then_fails(self, capsys, monkeypatch):
+        argv = ["oracle", "--m", "2", "--n", "5", "--format", "csv"]
+        _, report, _ = capture(capsys, argv)
+        count_complex = counting.count_complex
+        expected = count_complex(GroupParams(2, 1, 5), 1)
+
+        def off_by_one_at_1(params, d=None, *args, **kwargs):
+            return count_complex(params, d, *args, **kwargs) + (d == 1)
+
+        monkeypatch.setattr(counting, "count_complex", off_by_one_at_1)
+        code, out, err = capture(capsys, argv + ["--diff"])
+        assert code == EXIT_CROSSCHECK and out == report
+        assert err == (
+            f"error: oracle/formula mismatch at d=1: formulas say {expected + 1}, "
+            f"scan found {expected}\n"
+        )
 
     def test_parallel_flag(self, capsys):
         argv = ["oracle", "--m", "2", "--n", "4", "--format", "csv"]
