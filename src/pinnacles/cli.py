@@ -4,10 +4,6 @@ Data goes to stdout (or ``--output``), diagnostics to stderr.  Exit codes:
 0 success, 1 validation or usage error, 2 internal cross-check mismatch or
 negative count, 3 oracle budget refusal.
 
-Handlers compute a record; ``_emit`` is the one output path (the only reader
-of ``--format`` and ``--output``) and ``run`` the one place that picks the
-exit code and writes to stderr.
-
 Grammar: a colored value is ``COLOR:MAGNITUDE`` with decimal integers; a set
 is a comma-separated list of those or the literal ``empty``; a permutation is
 a whitespace-separated list, written from position n down to 1.  Text output
@@ -24,6 +20,10 @@ import os
 import sys
 
 from . import admissible, counting, oracle, shifts, wreath
+
+# Handlers compute a record; ``_emit`` is the one output path (the only reader
+# of ``--format`` and ``--output``) and ``run`` the one place that picks the
+# exit code and writes to stderr.
 
 BUDGET_ENV_VAR = "PINNACLES_ORACLE_BUDGET"
 
@@ -142,7 +142,12 @@ def _emit(args, doc: dict, text: str, csv: str | None = None) -> None:
         except OSError as exc:
             raise CliError(f"cannot write {args.output}: {exc.strerror}") from None
     else:
-        sys.stdout.write(data)
+        try:
+            sys.stdout.write(data)
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # quiet exit flush
+            raise CliError(f"cannot write stdout: {exc.strerror}") from None
 
 
 def _cmd_count(args) -> None:
@@ -184,10 +189,7 @@ def _cmd_check(args) -> None:
 
 def _cmd_witness(args) -> None:
     P = parse_set(args.set, args.m, args.n)
-    try:
-        w = admissible.canonical_witness(P)
-    except admissible.AdmissibilityError as exc:
-        raise CliError(str(exc)) from None
+    w = admissible.canonical_witness(P)
     doc = {
         "params": {"m": args.m, "n": args.n},
         "set": set_tokens(P),

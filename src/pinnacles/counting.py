@@ -12,9 +12,10 @@ O(n*d), and the modulus recursion O(m*d^2) after a one-time table of
 binomial coefficients.
 
 Counts for the subgroups G(m,p,n) coincide with the full wreath product in
-every case except odd n at the maximal cardinality, where the answer reduces
-to the single irreducible total for G(p,p,n); that one number has no known
-closed form and is delegated to the brute-force oracle.
+every case except odd n at the maximal cardinality, where G(m,p,n) falls
+short of the full count by exactly what G(p,p,n) falls short of p(p,n,d).
+That shortfall rests on the irreducible total for G(p,p,n), which has no
+known closed form and is delegated to the brute-force oracle.
 
 Everything is plain Python integers, so results are exact at any size.
 """
@@ -178,25 +179,6 @@ def count_total(m: int, n: int, method: str = DEFAULT_METHOD) -> int:
     return count_pinnacle_sets(m, n, max_cardinality(n), method)
 
 
-def odd_maximal_correction(m: int, p: int, r: int) -> int:
-    """The exact excess of #APS(m,p,2r+1) over #APS(p,p,2r+1) when p | m.
-
-    With m = pk this is sum_i C(2r+1, i) p^i (k^i - 1) (-1)^(i+r), the
-    difference of the two full-group totals at degree 2r+1.
-    """
-    k = m // p
-    n = 2 * r + 1
-    # from the top term C(n,r) p^r down by exact ratio, with k^i alongside
-    term, power = comb(n, r) * p**r, k**r
-    value, sign = term * (power - 1), 1
-    for i in range(r, 0, -1):
-        term = term * i // ((n - i + 1) * p)
-        power //= k
-        sign = -sign
-        value += sign * term * (power - 1)
-    return value
-
-
 def count_complex(
     g: GroupParams,
     d: int | None = None,
@@ -206,18 +188,18 @@ def count_complex(
     """Admissible pinnacle sets of size <= d for the reflection group G(m,p,n).
 
     Equal to the full wreath-product count except in the odd-maximal case
-    (n = 2r+1 and d = r), which reduces to the oracle-computed total for
-    G(p,p,n) plus an explicit signed binomial correction.  The oracle refuses
+    (n = 2r+1 and d = r), where G(m,p,n) loses exactly the color shifts of the
+    maximal sets that G(p,p,n) loses: p(p,n,r) less the oracle-computed total
+    for G(p,p,n).  ``method`` routes both full counts.  The oracle refuses
     with a budget error when G(p,p,n) is too large to scan.
     """
     cap = max_cardinality(g.n)
     if d is None:
         d = cap
-    _validate(g.m, g.n, d)
-    odd_maximal = g.n % 2 == 1 and d == cap and g.n >= 3
-    if g.p == 1 or not odd_maximal:
-        return count_pinnacle_sets(g.m, g.n, d, method)
+    full = count_pinnacle_sets(g.m, g.n, d, method)
+    if g.p == 1 or g.n % 2 == 0 or g.n < 3 or d != cap:
+        return full
     from . import oracle
 
-    base = oracle.count_admissible(GroupParams(g.p, g.p, g.n), budget=budget)
-    return base + odd_maximal_correction(g.m, g.p, cap)
+    kept = oracle.count_admissible(GroupParams(g.p, g.p, g.n), budget=budget)
+    return full - (count_pinnacle_sets(g.p, g.n, d, method) - kept)

@@ -136,17 +136,18 @@ def _word_stream(n: int, firsts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 
 def _elements(m: int, p: int, n: int, firsts: tuple[int, ...]) -> Iterator[GenPerm]:
     for mags in _word_stream(n, firsts):
-        for colors in itertools.product(range(m), repeat=n):
-            if sum(colors) % p == 0:
-                yield GenPerm.from_word(m, zip(colors, mags))
+        for head in itertools.product(range(m), repeat=n - 1):
+            for last in range(-sum(head) % p, m, p):
+                yield GenPerm.from_word(m, zip(head + (last,), mags))
 
 
 def enumerate_group(g: GroupParams, budget: OracleBudget | None = None) -> Iterator[GenPerm]:
     """Yield each element of G(m,p,n) exactly once, in the canonical order.
 
     The order is lexicographic on the magnitude word crossed with odometer
-    order on the color word (rightmost color fastest), filtered to color sums
-    divisible by p.
+    order on the color word (rightmost color fastest), restricted to color
+    sums divisible by p.  Only members are generated: the rightmost color
+    steps by p from the value that completes the sum to a multiple of p.
     """
     budget = budget or OracleBudget()
     _check_budget(g, budget)

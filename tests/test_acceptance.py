@@ -273,7 +273,7 @@ def test_candidate_order_status(capsys, monkeypatch):
         irreducible = scan(3, 3, 5).total_admissible
         reduction = (
             scan(6, 3, 5).total_admissible,
-            irreducible + counting.odd_maximal_correction(6, 3, 2),
+            irreducible + count_pinnacle_sets(6, 5) - count_pinnacle_sets(3, 5),
         )
         lost = []
         for m, k in STATUS_SHIFTS:

@@ -95,11 +95,14 @@ class TestCountCommand:
 
     def test_fault_injection_hits_cross_check_exit(self, capsys, monkeypatch):
         monkeypatch.setitem(counting.METHODS, "recursion-in-n", lambda m, n, d: -7)
-        code, out, err = capture(
-            capsys, ["count", "--m", "2", "--n", "5", "--method", "all"]
-        )
-        assert code == EXIT_CROSSCHECK
-        assert out == "" and "mismatch" in err
+        # the second argv is odd-maximal: both of its full counts take the routes
+        for argv in (
+            ["count", "--m", "2", "--n", "5", "--method", "all"],
+            ["count", "--m", "4", "--p", "2", "--n", "7", "--method", "all"],
+        ):
+            code, out, err = capture(capsys, argv)
+            assert code == EXIT_CROSSCHECK, argv
+            assert out == "" and "mismatch" in err, argv
 
     def test_negative_count_hits_cross_check_exit(self, capsys, monkeypatch):
         monkeypatch.setattr(counting, "_rec_n", lambda m, n, d: -3)
@@ -393,6 +396,34 @@ class TestUsage:
             text=True,
         )
         assert proc.returncode == EXIT_USAGE
+
+    def test_help_shows_usage_not_internals(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.run(["--help"])
+        out = capsys.readouterr().out
+        assert info.value.code == 0
+        assert "Exit codes" in out and "3 oracle budget refusal" in out and "Grammar:" in out
+        assert "_emit" not in out and "Handlers" not in out
+
+    def test_closed_stdout_pipe_is_one_error_line(self):
+        import os
+        import subprocess
+        import sys
+
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the child writes a byte
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "pinnacles", "table", "--m", "1..60", "--n", "3..400"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
     def test_only_scans_load_numpy(self):
         # numpy and the process pool load on first scan, not on import

@@ -16,7 +16,6 @@ from pinnacles.counting import (
     count_recursion_n,
     count_total,
     max_cardinality,
-    odd_maximal_correction,
 )
 from pinnacles.oracle import BudgetExceeded, OracleBudget
 from pinnacles.wreath import GroupParams
@@ -117,9 +116,10 @@ class TestKernels:
             for p in range(1, m + 1):
                 if m % p == 0:
                     for r in range(21):
-                        assert odd_maximal_correction(m, p, r) == old_odd_maximal_correction(
-                            m, p, r
-                        ), (m, p, r)
+                        n = 2 * r + 1
+                        assert old_odd_maximal_correction(m, p, r) == count_pinnacle_sets(
+                            m, n, r
+                        ) - count_pinnacle_sets(p, n, r), (m, p, r)
 
     def test_large_degree_identities(self):
         # p(m,n,d) + p(m,n,d-1) = C(n,d) m^d and p(1,n,d) = C(n-1,d)
@@ -200,12 +200,12 @@ class TestComplexCounts:
         assert count_complex(GroupParams(4, 2, 7), d=2) == count_pinnacle_sets(4, 7, 2)
         assert count_complex(GroupParams(2, 2, 5), d=1) == count_pinnacle_sets(2, 5, 1)
 
-    def test_correction_term_is_total_difference(self):
+    def test_correction_term_is_total_difference(self, reports):
         for m, p, r in [(4, 2, 1), (4, 2, 2), (6, 2, 1), (6, 3, 2), (9, 3, 1)]:
             n = 2 * r + 1
-            assert odd_maximal_correction(m, p, r) == count_pinnacle_sets(
-                m, n
-            ) - count_pinnacle_sets(p, n)
+            excess = count_complex(GroupParams(m, p, n)) - reports(p, p, n).total_admissible
+            assert excess == count_pinnacle_sets(m, n) - count_pinnacle_sets(p, n), (m, p, r)
+            assert excess == old_odd_maximal_correction(m, p, r), (m, p, r)
 
     def test_odd_maximal_values_match_direct_scans(self, reports):
         # frozen from exhaustive scans of the subgroups themselves

@@ -41,6 +41,18 @@ class TestEnumeration:
                 seen.add(w)
             assert len(seen) == params.order
 
+    def test_stream_equals_filtered_product(self):
+        # the reference: every coloring of every word, in odometer order, kept
+        # when its color sum is divisible by p
+        for m, p, n in [(2, 2, 3), (4, 2, 3), (6, 3, 3), (3, 3, 4), (4, 4, 1), (6, 2, 2)]:
+            expected = [
+                GenPerm.from_word(m, zip(colors, mags))
+                for mags in itertools.permutations(range(1, n + 1))
+                for colors in itertools.product(range(m), repeat=n)
+                if sum(colors) % p == 0
+            ]
+            assert list(enumerate_group(GroupParams(m, p, n))) == expected, (m, p, n)
+
     def test_canonical_stream_order(self):
         stream = list(enumerate_group(GroupParams(2, 1, 2)))
         # lexicographic words: magnitudes (1,2) before (2,1), colors odometer
