@@ -8,7 +8,6 @@ from .admissible import (
     Admissibility,
     AdmissibilityError,
     CardinalityViolation,
-    ColoredWitness,
     MultiplicityViolation,
     admissibility,
     canonical_witness,
@@ -28,7 +27,6 @@ from .counting import (
     count_recursion_m,
     count_recursion_n,
     count_total,
-    max_cardinality,
 )
 from .oracle import (
     BudgetExceeded,
@@ -36,7 +34,6 @@ from .oracle import (
     OracleReport,
     PinStats,
     collect_pinnacle_sets,
-    count_admissible,
     enumerate_group,
     witnesses_of,
 )
@@ -47,7 +44,6 @@ from .wreath import (
     GroupParams,
     PinSet,
     color_sum,
-    compare,
     in_subgroup,
     inverse,
     multiply,
@@ -63,7 +59,6 @@ __all__ = [
     "BudgetExceeded",
     "CardinalityViolation",
     "ColoredValue",
-    "ColoredWitness",
     "CrossCheckMismatch",
     "GenPerm",
     "GroupParams",
@@ -79,8 +74,6 @@ __all__ = [
     "collect_pinnacle_sets",
     "color_sum",
     "colored_admissible_degree",
-    "compare",
-    "count_admissible",
     "count_closed_alternating",
     "count_closed_positive",
     "count_complex",
@@ -94,7 +87,6 @@ __all__ = [
     "is_admissible",
     "is_admissible_rec",
     "is_admissible_top",
-    "max_cardinality",
     "max_pinnacles",
     "multiply",
     "peaks",

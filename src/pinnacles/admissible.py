@@ -45,9 +45,9 @@ def _violation(P: PinSet) -> AdmissibilityError | None:
         if cv.magnitude in seen:
             return MultiplicityViolation(f"repeated magnitude {cv.magnitude}")
         seen.add(cv.magnitude)
-    cap = max_pinnacles(P.n)
-    if P.d > cap:
-        return CardinalityViolation(f"{P.d} pinnacles exceed the maximum {cap} for degree {P.n}")
+    d, cap = len(P), max_pinnacles(P.n)
+    if d > cap:
+        return CardinalityViolation(f"{d} pinnacles exceed the maximum {cap} for degree {P.n}")
     return None
 
 
@@ -67,7 +67,7 @@ def canonical_witness(P: PinSet) -> GenPerm:
         raise violation
     used = P.magnitude_set()
     fillers = sorted(ColoredValue(P.m - 1, x) for x in range(1, P.n + 1) if x not in used)
-    word = [v for pair in zip(fillers, P.elements) for v in pair] + fillers[P.d :]
+    word = [v for pair in zip(fillers, P.elements) for v in pair] + fillers[len(P) :]
     return GenPerm.from_word(P.m, word)
 
 
@@ -148,27 +148,16 @@ def is_admissible_top(P: PinSet) -> bool:
     return is_admissible(PinSet(1, len(alive), packed))
 
 
-@dataclass(frozen=True)
-class ColoredWitness:
-    """A degree in which a one-colored set is admissible, plus a witness."""
-
-    degree: int
-    witness: GenPerm
-
-
-def colored_admissible_degree(P: PinSet) -> ColoredWitness:
+def colored_admissible_degree(P: PinSet) -> int:
     """Smallest-construction degree N = 2L+1 admitting a one-colored set.
 
     L is the largest magnitude in P, so all of P fits below the midpoint and
-    the canonical witness, laid out in the order of ``ColoredValue``,
-    interleaves it in Z_m wr S_N.
+    the canonical witness ``canonical_witness(PinSet(P.m, N, P.elements))``,
+    laid out in the order of ``ColoredValue``, interleaves it in Z_m wr S_N.
     """
     if not P.elements:
         raise ValueError("empty set has no colored degree")
     colors = {cv.color for cv in P.elements}
     if len(colors) != 1:
         raise ValueError(f"set uses colors {sorted(colors)}; expected exactly one")
-    largest = max(P.magnitude_set())
-    degree = 2 * largest + 1
-    witness = canonical_witness(PinSet(P.m, degree, P.elements))
-    return ColoredWitness(degree, witness)
+    return 2 * max(P.magnitude_set()) + 1

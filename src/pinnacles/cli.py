@@ -121,10 +121,10 @@ def _budget_from(args) -> oracle.OracleBudget:
                 raise CliError(f"{BUDGET_ENV_VAR}={raw!r} is not an integer") from None
     if max_order is None:
         max_order = oracle.DEFAULT_MAX_ORDER
-    return oracle.OracleBudget(
-        max_order=max_order,
-        partitions=getattr(args, "partitions", 1),
-    )
+    partitions = getattr(args, "partitions", None)
+    if partitions is None:  # a pool needs more than one partition to start
+        partitions = (os.cpu_count() or 1) if getattr(args, "parallel", False) else 1
+    return oracle.OracleBudget(max_order=max_order, partitions=partitions)
 
 
 def _emit(args, doc: dict, text: str, csv: str | None = None) -> None:
@@ -153,7 +153,7 @@ def _emit(args, doc: dict, text: str, csv: str | None = None) -> None:
 def _cmd_count(args) -> None:
     params = wreath.GroupParams(args.m, args.p, args.n)
     value = str(counting.count_complex(params, args.d, args.method, budget=_budget_from(args)))
-    d = counting.max_cardinality(args.n) if args.d is None else args.d
+    d = admissible.max_pinnacles(args.n) if args.d is None else args.d
     doc = {
         "params": {"m": args.m, "p": args.p, "n": args.n, "d": d},
         "method": args.method,
@@ -225,8 +225,6 @@ def _cmd_pinnacles(args) -> None:
 def _cmd_table(args) -> None:
     ms = _parse_range(args.m, "m")
     ns = _parse_range(args.n, "n")
-    if min(ns) < 2:
-        raise CliError("table needs n >= 2")
     cells = [(m, n, str(counting.count_total(m, n, args.method))) for m in ms for n in ns]
     doc = {
         "method": args.method,
@@ -246,7 +244,7 @@ def _cmd_oracle(args) -> None:
     report = oracle.collect_pinnacle_sets(params, budget=budget, parallel=args.parallel)
     mismatches = []
     if args.diff:
-        for d in range(counting.max_cardinality(args.n) + 1):
+        for d in range(admissible.max_pinnacles(args.n) + 1):
             expected = counting.count_complex(params, d, budget=budget)
             got = report.count_up_to(d)
             if expected != got:
@@ -356,7 +354,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(orc, p=True, budget=True)
     orc.add_argument("--diff", action="store_true",
                      help="compare scan counts against the formulas")
-    orc.add_argument("--partitions", type=int, default=1)
+    orc.add_argument("--partitions", type=int, default=None,
+                     help="split the scan by leftmost magnitude (default: CPU "
+                          "count with --parallel, else 1)")
     orc.add_argument("--parallel", action="store_true",
                      help="run partitions in separate processes")
     orc.set_defaults(handler=_cmd_oracle)

@@ -1,8 +1,9 @@
 """Exact counts of admissible pinnacle sets.
 
 p(m, n, d) is the number of admissible pinnacle sets of cardinality at most d
-in Z_m wr S_n, for 0 <= d <= floor((n-1)/2).  Four routes compute it: a
-recursion lowering the modulus, a recursion lowering the degree, an
+in Z_m wr S_n, for 0 <= d <= floor((n-1)/2), the cap that
+``admissible.max_pinnacles`` defines for every module.  Four routes compute
+it: a recursion lowering the modulus, a recursion lowering the degree, an
 alternating binomial sum, and an all-nonnegative binomial sum.  They must
 agree exactly; ``method="all"`` enforces that on every call.  Each route
 keeps its own formula and gets every binomial from its neighbour by an exact
@@ -15,7 +16,7 @@ Counts for the subgroups G(m,p,n) coincide with the full wreath product in
 every case except odd n at the maximal cardinality, where G(m,p,n) falls
 short of the full count by exactly what G(p,p,n) falls short of p(p,n,d).
 That shortfall rests on the irreducible total for G(p,p,n), which has no
-known closed form and is delegated to the brute-force oracle.
+known closed form: it is the ``total_admissible`` of the oracle's scan.
 
 Everything is plain Python integers, so results are exact at any size.
 """
@@ -32,15 +33,12 @@ from .wreath import GroupParams
 if TYPE_CHECKING:
     from .oracle import OracleBudget
 
-max_cardinality = max_pinnacles
-
-
 def _validate(m: int, n: int, d: int) -> None:
     if m < 1 or n < 1:
         raise ValueError(f"m and n must be positive, got m={m}, n={n}")
-    if not 0 <= d <= max_cardinality(n):
+    if not 0 <= d <= max_pinnacles(n):
         raise ValueError(
-            f"d={d} outside the valid range 0..{max_cardinality(n)} for degree n={n}"
+            f"d={d} outside the valid range 0..{max_pinnacles(n)} for degree n={n}"
         )
 
 
@@ -160,7 +158,7 @@ class CrossCheckMismatch(RuntimeError):
 def count_pinnacle_sets(m: int, n: int, d: int | None = None, method: str = DEFAULT_METHOD) -> int:
     """Admissible pinnacle sets of size <= d in Z_m wr S_n (d defaults to the cap)."""
     if d is None:
-        d = max_cardinality(n)
+        d = max_pinnacles(n)
     _validate(m, n, d)
     if method == "all":
         values = {name: fn(m, n, d) for name, fn in METHODS.items()}
@@ -176,7 +174,7 @@ def count_total(m: int, n: int, method: str = DEFAULT_METHOD) -> int:
     """All admissible pinnacle sets in Z_m wr S_n (n >= 2)."""
     if n < 2:
         raise ValueError(f"total counts need n >= 2, got n={n}")
-    return count_pinnacle_sets(m, n, max_cardinality(n), method)
+    return count_pinnacle_sets(m, n, max_pinnacles(n), method)
 
 
 def count_complex(
@@ -193,7 +191,7 @@ def count_complex(
     for G(p,p,n).  ``method`` routes both full counts.  The oracle refuses
     with a budget error when G(p,p,n) is too large to scan.
     """
-    cap = max_cardinality(g.n)
+    cap = max_pinnacles(g.n)
     if d is None:
         d = cap
     full = count_pinnacle_sets(g.m, g.n, d, method)
@@ -201,5 +199,5 @@ def count_complex(
         return full
     from . import oracle
 
-    kept = oracle.count_admissible(GroupParams(g.p, g.p, g.n), budget=budget)
+    kept = oracle.collect_pinnacle_sets(GroupParams(g.p, g.p, g.n), budget).total_admissible
     return full - (count_pinnacle_sets(g.p, g.n, d, method) - kept)

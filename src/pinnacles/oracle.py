@@ -326,8 +326,3 @@ def collect_pinnacle_sets(
             eps_histogram=tuple(sorted(hist.items())),
         )
     return OracleReport(params=g, stats=stats, scanned=scanned)
-
-
-def count_admissible(g: GroupParams, budget: OracleBudget | None = None) -> int:
-    """Total number of admissible pinnacle sets for G(m,p,n), by brute force."""
-    return collect_pinnacle_sets(g, budget).total_admissible

@@ -43,13 +43,6 @@ class ColoredValue:
         return f"xi^{self.color}({self.magnitude})"
 
 
-def compare(u: ColoredValue, v: ColoredValue) -> int:
-    """Strict total order: -1 if u is below v, 0 if equal, +1 if above."""
-    if u == v:
-        return 0
-    return -1 if u < v else 1
-
-
 def check_value(cv: ColoredValue, m: int, n: int) -> None:
     """Raise ValueError unless 0 <= color < m and 1 <= magnitude <= n."""
     if not 0 <= cv.color < m:
@@ -217,10 +210,6 @@ class PinSet:
             raise ValueError(f"bad ambient (m={self.m}, n={self.n})")
         for cv in elems:
             check_value(cv, self.m, self.n)
-
-    @property
-    def d(self) -> int:
-        return len(self.elements)
 
     def __len__(self) -> int:
         return len(self.elements)

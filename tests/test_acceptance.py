@@ -27,9 +27,10 @@ from pinnacles.admissible import (
     is_admissible,
     is_admissible_rec,
     is_admissible_top,
+    max_pinnacles,
 )
 from pinnacles.cli import run
-from pinnacles.counting import count_complex, count_pinnacle_sets, max_cardinality
+from pinnacles.counting import count_complex, count_pinnacle_sets
 from pinnacles.oracle import collect_pinnacle_sets
 from pinnacles.shifts import ShiftParams, shift_perm, shift_set
 from pinnacles.wreath import (
@@ -105,7 +106,7 @@ def test_criterion_2_four_way_agreement(capsys):
     failures = []
     for m in range(1, 21):
         for n in range(1, 31):
-            for d in range(max_cardinality(n) + 1):
+            for d in range(max_pinnacles(n) + 1):
                 values = {name: fn(m, n, d) for name, fn in counting.METHODS.items()}
                 if len(set(values.values())) != 1:
                     failures.append((m, n, d, values))
@@ -120,7 +121,7 @@ def test_criterion_3_oracle_count_equivalence(capsys, reports):
     failures = []
     for m, n in grid:
         rep = reports(m, 1, n)
-        for d in range(max_cardinality(n) + 1):
+        for d in range(max_pinnacles(n) + 1):
             got = rep.count_up_to(d)
             want = count_pinnacle_sets(m, n, d, method="all")
             if got != want:
@@ -136,7 +137,7 @@ def test_criterion_4_oracle_membership_equivalence(capsys, reports):
         for n in range(1, 7):
             admissible_sets = set(reports(m, 1, n).stats)
             universe = [CV(c, x) for c in range(m) for x in range(1, n + 1)]
-            for size in range(max_cardinality(n) + 1):
+            for size in range(max_pinnacles(n) + 1):
                 for combo in itertools.combinations(universe, size):
                     P = PinSet(m, n, combo)
                     expected = P in admissible_sets
@@ -156,7 +157,7 @@ def test_criterion_5_complex_group_equality(capsys, reports):
             for n in range(2, 7):
                 rep = reports(m, p, n)
                 strict_bound = -(-(n - 1) // 2)  # ceil((n-1)/2)
-                for d in range(min(strict_bound, max_cardinality(n) + 1)):
+                for d in range(min(strict_bound, max_pinnacles(n) + 1)):
                     got = rep.count_up_to(d)
                     want = count_pinnacle_sets(m, n, d)
                     if got != want:

@@ -140,7 +140,7 @@ class TestDeciderAgreement:
     def test_no_top_color_slice_with_distinct_magnitudes_admissible(self):
         # colors 1..m-2 only; the top-color base case is vacuous
         P = PinSet(4, 9, ((1, 2), (2, 5), (1, 7)))
-        assert P.color_slice(3).d == 0
+        assert len(P.color_slice(3)) == 0
         assert is_admissible(P) and is_admissible_rec(P) and is_admissible_top(P)
 
     def test_top_color_maximum_magnitude_singleton_inadmissible(self):
@@ -168,16 +168,15 @@ class TestDeciderAgreement:
 
 class TestSingleColorSets:
     def test_degree_from_largest_magnitude(self):
-        result = colored_admissible_degree(PinSet(4, 6, ((2, 6), (2, 2), (2, 3))))
-        assert result.degree == 13
+        assert colored_admissible_degree(PinSet(4, 6, ((2, 6), (2, 2), (2, 3)))) == 13
         target = PinSet(4, 13, ((2, 6), (2, 2), (2, 3)))
-        assert pinnacle_set(result.witness) == target
-        fills = [v for v in result.witness.word if v not in target.elements]
+        witness = canonical_witness(target)
+        assert pinnacle_set(witness) == target
+        fills = [v for v in witness.word if v not in target.elements]
         assert all(v.color == 3 for v in fills)
 
     def test_singleton(self):
-        result = colored_admissible_degree(PinSet(3, 1, ((0, 1),)))
-        assert result.degree == 3
+        assert colored_admissible_degree(PinSet(3, 1, ((0, 1),))) == 3
 
     def test_multicolor_rejected(self):
         with pytest.raises(ValueError):
@@ -191,10 +190,10 @@ class TestSingleColorSets:
         mags = data.draw(st.lists(st.integers(1, 8), unique=True, min_size=1, max_size=4))
         color = data.draw(st.integers(0, m - 1))
         P = PinSet(m, max(mags), tuple((color, x) for x in mags))
-        result = colored_admissible_degree(P)
-        embedded = PinSet(m, result.degree, P.elements)
+        degree = colored_admissible_degree(P)
+        embedded = PinSet(m, degree, P.elements)
         assert is_admissible(embedded)
-        assert pinnacle_set(result.witness) == embedded
+        assert pinnacle_set(canonical_witness(embedded)) == embedded
 
     def test_one_color_band_always_admissible(self):
         # any single middle color with enough room is admissible in place

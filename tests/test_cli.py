@@ -1,12 +1,13 @@
 """Command-line surface: grammar, formats, exit codes, determinism."""
 
 import json
+import os
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pinnacles import admissible, cli, counting
+from pinnacles import admissible, cli, counting, oracle
 from pinnacles.cli import (
     EXIT_BUDGET,
     EXIT_CROSSCHECK,
@@ -120,14 +121,15 @@ class TestCountCommand:
         code, out, err = capture(
             capsys, ["count", "--m", str(m), "--n", str(n), "--method", method]
         )
-        expected = counting.count_closed_positive(m, n, counting.max_cardinality(n))
+        expected = counting.count_closed_positive(m, n, admissible.max_pinnacles(n))
         assert code == EXIT_OK and out == f"{expected}\n" and err == ""
 
     def test_counts_print_in_full_at_any_size(self, capsys):
         # 10,789 digits, past CPython's default 4,300-digit cap on int-to-str conversion
         argv = ["count", "--m", "3", "--n", "20000"]
         outputs = {fmt: capture(capsys, argv + ["--format", fmt]) for fmt in ("text", "json", "csv")}
-        value = str(counting.count_closed_positive(3, 20000, counting.max_cardinality(20000)))
+        cap = admissible.max_pinnacles(20000)
+        value = str(counting.count_closed_positive(3, 20000, cap))
         assert len(value) == 10789
         for code, _, err in outputs.values():
             assert code == EXIT_OK and err == ""
@@ -272,6 +274,10 @@ class TestTableCommand:
         code, _, err = capture(capsys, ["table", "--m", "4..2", "--n", "3"])
         assert code == EXIT_USAGE and "range" in err
 
+    def test_degree_one_refused_before_any_output(self, capsys):
+        code, out, err = capture(capsys, ["table", "--m", "1..3", "--n", "1..4"])
+        assert code == EXIT_USAGE and out == "" and "n >= 2" in err
+
     def test_text_grid_deterministic(self, capsys):
         _, one, _ = capture(capsys, ["table", "--m", "1..3", "--n", "3..5"])
         _, two, _ = capture(capsys, ["table", "--m", "1..3", "--n", "3..5"])
@@ -317,6 +323,23 @@ class TestOracleCommand:
         _, serial, _ = capture(capsys, argv)
         _, parallel, _ = capture(capsys, argv + ["--partitions", "4", "--parallel"])
         assert serial == parallel
+
+    def test_parallel_alone_partitions_by_cpu_count(self, capsys, monkeypatch):
+        partitions = []
+        collect = oracle.collect_pinnacle_sets
+
+        def recording(params, budget=None, *args, **kwargs):
+            partitions.append(budget.partitions)
+            return collect(params, budget, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "collect_pinnacle_sets", recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        argv = ["oracle", "--m", "2", "--n", "4", "--format", "csv"]
+        _, serial, _ = capture(capsys, argv)
+        code, parallel, err = capture(capsys, argv + ["--parallel"])
+        assert code == EXIT_OK and err == "" and parallel == serial
+        assert capture(capsys, ["count", "--m", "4", "--p", "2", "--n", "5"])[0] == EXIT_OK
+        assert partitions == [1, 3, 1]
 
     def test_budget_exit(self, capsys):
         code, _, err = capture(

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from pinnacles import counting
+from pinnacles.admissible import max_pinnacles
 from pinnacles.counting import (
     CrossCheckMismatch,
     NegativeCount,
@@ -15,7 +16,6 @@ from pinnacles.counting import (
     count_recursion_m,
     count_recursion_n,
     count_total,
-    max_cardinality,
 )
 from pinnacles.oracle import BudgetExceeded, OracleBudget
 from pinnacles.wreath import GroupParams
@@ -44,7 +44,7 @@ class TestFormulas:
 
     def test_modulus_one_is_binomial(self):
         for n in range(1, 16):
-            for d in range(max_cardinality(n) + 1):
+            for d in range(max_pinnacles(n) + 1):
                 expected = comb(n - 1, d)
                 for method in ALL_METHODS:
                     assert counting.METHODS[method](1, n, d) == expected
@@ -56,7 +56,7 @@ class TestFormulas:
     def test_four_way_agreement_small(self):
         for m in range(1, 9):
             for n in range(1, 13):
-                for d in range(max_cardinality(n) + 1):
+                for d in range(max_pinnacles(n) + 1):
                     values = {counting.METHODS[x](m, n, d) for x in ALL_METHODS}
                     assert len(values) == 1, (m, n, d, values)
 
@@ -101,7 +101,7 @@ class TestKernels:
     def test_routes_match_reference_definitions(self):
         for m in range(1, 9):
             for n in range(1, 81):
-                for d in range(max_cardinality(n) + 1):
+                for d in range(max_pinnacles(n) + 1):
                     want = old_closed_positive(m, n, d)
                     assert old_closed_alternating(m, n, d) == want, (m, n, d)
                     assert count_closed_positive(m, n, d) == want, (m, n, d)
@@ -125,10 +125,10 @@ class TestKernels:
         # p(m,n,d) + p(m,n,d-1) = C(n,d) m^d and p(1,n,d) = C(n-1,d)
         for fn in (count_closed_positive, count_closed_alternating):
             for m, n in ((2, 1400), (3, 1421), (7, 1450)):
-                for d in (1, 2, n // 3, max_cardinality(n) - 1, max_cardinality(n)):
+                for d in (1, 2, n // 3, max_pinnacles(n) - 1, max_pinnacles(n)):
                     assert fn(m, n, d) + fn(m, n, d - 1) == comb(n, d) * m**d, (fn, m, n, d)
             for n in (1400, 1433, 1450):
-                for d in (0, 1, n // 4, max_cardinality(n)):
+                for d in (0, 1, n // 4, max_pinnacles(n)):
                     assert fn(1, n, d) == comb(n - 1, d), (fn, n, d)
 
 
@@ -136,13 +136,13 @@ class TestFiltration:
     def test_counts_grow_with_cap_and_stay_positive(self):
         for m in (1, 2, 5):
             for n in (4, 9, 14):
-                values = [count_pinnacle_sets(m, n, d) for d in range(max_cardinality(n) + 1)]
+                values = [count_pinnacle_sets(m, n, d) for d in range(max_pinnacles(n) + 1)]
                 assert all(v > 0 for v in values)
                 assert values == sorted(values)
 
     def test_counts_grow_with_modulus(self):
         for n in (5, 8):
-            for d in range(max_cardinality(n) + 1):
+            for d in range(max_pinnacles(n) + 1):
                 values = [count_pinnacle_sets(m, n, d) for m in range(1, 7)]
                 assert values == sorted(values)
 

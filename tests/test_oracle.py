@@ -10,7 +10,6 @@ from pinnacles.oracle import (
     BudgetExceeded,
     OracleBudget,
     collect_pinnacle_sets,
-    count_admissible,
     enumerate_group,
     witnesses_of,
 )
@@ -224,7 +223,7 @@ class TestEnginesAndPartitioning:
     def test_budget_refusal_and_count_helper(self):
         with pytest.raises(BudgetExceeded):
             collect_pinnacle_sets(GroupParams(2, 1, 12))
-        assert count_admissible(GroupParams(2, 2, 3)) == 4
+        assert collect_pinnacle_sets(GroupParams(2, 2, 3)).total_admissible == 4
 
 
 class TestAgainstFormulas:

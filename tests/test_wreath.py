@@ -13,7 +13,6 @@ from pinnacles.wreath import (
     GroupParams,
     PinSet,
     color_sum,
-    compare,
     in_subgroup,
     inverse,
     multiply,
@@ -58,13 +57,13 @@ def gen_perm_pairs(draw, max_m=5, max_n=8):
 
 class TestOrder:
     def test_higher_color_is_lower(self):
-        assert compare(CV(2, 10), CV(1, 3)) == -1
+        assert CV(2, 10) < CV(1, 3)
 
     def test_within_color_larger_magnitude_is_lower(self):
-        assert compare(CV(0, 3), CV(0, 2)) == -1
+        assert CV(0, 3) < CV(0, 2)
 
     def test_reflexive_equality(self):
-        assert compare(CV(1, 4), CV(1, 4)) == 0
+        assert CV(1, 4) == CV(1, 4)
 
     def test_plain_one_is_global_maximum(self):
         values = [CV(c, x) for c in range(3) for x in range(1, 6)]
@@ -79,11 +78,6 @@ class TestOrder:
     def test_transitivity(self, u, v, w):
         if u < v and v < w:
             assert u < w
-
-    @given(colored_values, colored_values)
-    def test_compare_consistent_with_operators(self, u, v):
-        assert compare(u, v) == (-1 if u < v else (0 if u == v else 1))
-        assert compare(u, v) == -compare(v, u)
 
 
 class TestGroupOps:
