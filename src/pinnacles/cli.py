@@ -297,7 +297,7 @@ def _cmd_shift(args) -> None:
     _emit(args, doc, f"{shifted}\n")
 
 
-def _add_common(sub, *, p: bool = False, d: bool = False, budget: bool = False):
+def _add_common(sub, *, p: bool = False, d: bool = False, budget: str | None = None):
     sub.add_argument("--m", type=int, required=True, help="modulus m")
     sub.add_argument("--n", type=int, required=True, help="degree n")
     if p:
@@ -307,7 +307,7 @@ def _add_common(sub, *, p: bool = False, d: bool = False, budget: bool = False):
                          help="cardinality cap d (default floor((n-1)/2))")
     if budget:
         sub.add_argument("--budget", type=int, default=None,
-                         help=f"oracle group-order cap (default {BUDGET_ENV_VAR} or "
+                         help=f"{budget} (default {BUDGET_ENV_VAR} or "
                               f"{oracle.DEFAULT_MAX_ORDER})")
     # the commands with a budget (count, oracle) print rows, so they offer csv
     formats = ("text", "json", "csv") if budget else ("text", "json")
@@ -321,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     count = commands.add_parser("count", help="count admissible pinnacle sets")
-    _add_common(count, p=True, d=True, budget=True)
+    _add_common(count, p=True, d=True, budget="cap on the candidate slot tests, "
+                "C(n,r)*p^r*(r+1), of a count at odd n = 2r+1 and d = r")
     count.add_argument("--method", choices=counting.METHOD_CHOICES,
                        default=counting.DEFAULT_METHOD)
     count.set_defaults(handler=_cmd_count)
@@ -351,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     table.set_defaults(handler=_cmd_table)
 
     orc = commands.add_parser("oracle", help="exhaustive scan of G(m,p,n)")
-    _add_common(orc, p=True, budget=True)
+    _add_common(orc, p=True, budget="oracle group-order cap")
     orc.add_argument("--diff", action="store_true",
                      help="compare scan counts against the formulas")
     orc.add_argument("--partitions", type=int, default=None,

@@ -16,22 +16,21 @@ Counts for the subgroups G(m,p,n) coincide with the full wreath product in
 every case except odd n at the maximal cardinality, where G(m,p,n) falls
 short of the full count by exactly what G(p,p,n) falls short of p(p,n,d).
 That shortfall rests on the irreducible total for G(p,p,n), which has no
-known closed form: it is the ``total_admissible`` of the oracle's scan.
+known closed form: it is counted in set space, one bipartite matching per
+candidate maximal set, C(n,r) p^r (r+1) slot tests in all for n = 2r+1.
 
 Everything is plain Python integers, so results are exact at any size.
 """
 
 from __future__ import annotations
 
+from itertools import combinations, product
 from math import comb
 from operator import mul
-from typing import TYPE_CHECKING
 
 from .admissible import max_pinnacles
-from .wreath import GroupParams
-
-if TYPE_CHECKING:
-    from .oracle import OracleBudget
+from .oracle import BudgetExceeded, OracleBudget
+from .wreath import ColoredValue, GroupParams
 
 def _validate(m: int, n: int, d: int) -> None:
     if m < 1 or n < 1:
@@ -177,6 +176,58 @@ def count_total(m: int, n: int, method: str = DEFAULT_METHOD) -> int:
     return count_pinnacle_sets(m, n, max_pinnacles(n), method)
 
 
+def _augment(options: list[int], owner: dict[int, int], s: int) -> bool:
+    # breadth-first search from slot s, through matched fillers, for a free one;
+    # options[t] is slot t's filler bitmask, owner maps a matched bit to its slot
+    came, via, frontier, seen = {}, {s: 0}, [s], 0
+    for t in frontier:
+        mask = options[t] & ~seen
+        seen |= mask
+        while mask:
+            bit = mask & -mask
+            mask ^= bit
+            came[bit] = t
+            if bit not in owner:
+                while bit:  # each slot on the path takes the filler it reached
+                    t = came[bit]
+                    owner[bit], bit = t, via[t]
+                return True
+            via[owner[bit]] = bit
+            frontier.append(owner[bit])
+    return False
+
+
+def _maximal_sets(p: int, n: int):
+    # Every maximal candidate of Z_p wr S_n, n = 2r+1, as (magnitudes, colors,
+    # eps_min or None when it has no witness, eps_max); its word is V P V ... P V.
+    # Ascending pinnacles dominate: the j smallest touch at least j+1 valley
+    # slots in any arrangement, so thresholds p_1, p_1, p_2, ..., p_r are the
+    # highest.  Under threshold (c, x) a filler y takes every color above c, and
+    # c when (c, y) is below (c, x), so the color sums fill an interval up to
+    # eps_max.  Matchings to cost-c fillers form a transversal matroid, so
+    # matching the top-color slots (no color c+1) first, as they ascend first,
+    # gives a maximum matching covering them if any exists.
+    r, top = max_pinnacles(n), p - 1
+    values = sorted(ColoredValue(c, x) for c in range(p) for x in range(1, n + 1))
+    rank = {(v.color, v.magnitude): i for i, v in enumerate(values)}
+    color = [v.color for v in values]
+    cheap = [sum(1 << y for y in range(1, n + 1) if rank[v.color, y] < i)
+             for i, v in enumerate(values)]
+    for mags in combinations(range(1, n + 1), r):
+        free = (2 << n) - 2 - sum(1 << x for x in mags)
+        for colors in product(range(p), repeat=r):
+            pins = sorted(rank[c, x] for c, x in zip(colors, mags))
+            slots = [pins[0], *pins]
+            options, owner, lo = [cheap[i] & free for i in slots], {}, sum(colors)
+            for s, i in enumerate(slots):
+                matched = _augment(options, owner, s)
+                if not matched and color[i] == top:
+                    lo = None
+                    break
+                lo += color[i] + (not matched)
+            yield mags, colors, lo, sum(colors) + (r + 1) * top
+
+
 def count_complex(
     g: GroupParams,
     d: int | None = None,
@@ -187,9 +238,12 @@ def count_complex(
 
     Equal to the full wreath-product count except in the odd-maximal case
     (n = 2r+1 and d = r), where G(m,p,n) loses exactly the color shifts of the
-    maximal sets that G(p,p,n) loses: p(p,n,r) less the oracle-computed total
-    for G(p,p,n).  ``method`` routes both full counts.  The oracle refuses
-    with a budget error when G(p,p,n) is too large to scan.
+    maximal sets that G(p,p,n) loses: p(p,n,r) less the total for G(p,p,n).
+    That total is p(p,n,r-1) plus the C(n,r) p^r candidate maximal sets with a
+    multiple of p in their color-sum range, from one matching each of their
+    r+1 valley slots.  ``method`` routes every full count.  The count refuses
+    with a budget error when those C(n,r) p^r (r+1) candidate slot tests
+    exceed ``budget.max_order``.
     """
     cap = max_pinnacles(g.n)
     if d is None:
@@ -197,7 +251,10 @@ def count_complex(
     full = count_pinnacle_sets(g.m, g.n, d, method)
     if g.p == 1 or g.n % 2 == 0 or g.n < 3 or d != cap:
         return full
-    from . import oracle
-
-    kept = oracle.collect_pinnacle_sets(GroupParams(g.p, g.p, g.n), budget).total_admissible
-    return full - (count_pinnacle_sets(g.p, g.n, d, method) - kept)
+    p, n = g.p, g.n
+    work, limit = comb(n, d) * p**d * (d + 1), (budget or OracleBudget()).max_order
+    if work > limit:
+        raise BudgetExceeded(GroupParams(p, p, n), work, limit, "candidate slot test count")
+    kept = count_pinnacle_sets(p, n, d - 1, method)
+    kept += sum(lo is not None and -lo % p <= hi - lo for *_, lo, hi in _maximal_sets(p, n))
+    return full - (count_pinnacle_sets(p, n, d, method) - kept)

@@ -41,14 +41,14 @@ RawKey = tuple[tuple[int, int], ...]
 
 
 class BudgetExceeded(RuntimeError):
-    """The requested group is larger than the configured scan budget."""
+    """The requested work, a group to scan or an odd-maximal count, exceeds the budget."""
 
-    def __init__(self, params: GroupParams, required: int, limit: int):
+    def __init__(self, params: GroupParams, required: int, limit: int, what: str = "order"):
         self.params = params
         self.required = required
         self.limit = limit
         super().__init__(
-            f"{params} has order {required}, exceeding the oracle budget {limit}; "
+            f"{params} has {what} {required}, exceeding the oracle budget {limit}; "
             f"raise max_order to at least {required}"
         )
 

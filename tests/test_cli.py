@@ -338,8 +338,22 @@ class TestOracleCommand:
         _, serial, _ = capture(capsys, argv)
         code, parallel, err = capture(capsys, argv + ["--parallel"])
         assert code == EXIT_OK and err == "" and parallel == serial
+        # an odd-maximal count does not scan
         assert capture(capsys, ["count", "--m", "4", "--p", "2", "--n", "5"])[0] == EXIT_OK
-        assert partitions == [1, 3, 1]
+        assert partitions == [1, 3]
+
+    def test_diff_scans_the_group_once(self, capsys, monkeypatch):
+        scanned = []
+        collect = oracle.collect_pinnacle_sets
+
+        def recording(params, *args, **kwargs):
+            scanned.append(params)
+            return collect(params, *args, **kwargs)
+
+        monkeypatch.setattr(oracle, "collect_pinnacle_sets", recording)
+        code, _, err = capture(capsys, ["oracle", "--m", "3", "--p", "3", "--n", "5", "--diff"])
+        assert code == EXIT_OK and err == ""
+        assert scanned == [GroupParams(3, 3, 5)]
 
     def test_budget_exit(self, capsys):
         code, _, err = capture(
@@ -458,15 +472,16 @@ import contextlib, io, json, sys
 from pinnacles import cli
 heavy = ("numpy", "concurrent.futures")
 loaded = {"import": [0, [mod for mod in heavy if mod in sys.modules]]}
-for argv in (
-    ["count", "--m", "3", "--n", "10"],
-    ["check", "--m", "3", "--n", "10", "--set", "1:3,0:5,0:2"],
-    ["table", "--m", "1..3", "--n", "3..5"],
-    ["oracle", "--m", "2", "--n", "4"],
+for name, argv in (
+    ("count", ["count", "--m", "3", "--n", "10"]),
+    ("odd-maximal count", ["count", "--m", "4", "--p", "2", "--n", "7"]),
+    ("check", ["check", "--m", "3", "--n", "10", "--set", "1:3,0:5,0:2"]),
+    ("table", ["table", "--m", "1..3", "--n", "3..5"]),
+    ("oracle", ["oracle", "--m", "2", "--n", "4"]),
 ):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.run(argv)
-    loaded[argv[0]] = [code, [mod for mod in heavy if mod in sys.modules]]
+    loaded[name] = [code, [mod for mod in heavy if mod in sys.modules]]
 print(json.dumps(loaded))
 """
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
@@ -474,6 +489,7 @@ print(json.dumps(loaded))
         assert json.loads(proc.stdout) == {
             "import": [0, []],
             "count": [EXIT_OK, []],
+            "odd-maximal count": [EXIT_OK, []],
             "check": [EXIT_OK, []],
             "table": [EXIT_OK, []],
             "oracle": [EXIT_OK, ["numpy"]],

@@ -1,11 +1,12 @@
 """The four counting routes and the reflection-group reduction."""
 
+import random
 from math import comb
 
 import pytest
 
 from pinnacles import counting
-from pinnacles.admissible import max_pinnacles
+from pinnacles.admissible import is_admissible, max_pinnacles
 from pinnacles.counting import (
     CrossCheckMismatch,
     NegativeCount,
@@ -18,7 +19,7 @@ from pinnacles.counting import (
     count_total,
 )
 from pinnacles.oracle import BudgetExceeded, OracleBudget
-from pinnacles.wreath import GroupParams
+from pinnacles.wreath import GroupParams, PinSet
 
 ALL_METHODS = tuple(counting.METHODS)
 
@@ -223,8 +224,8 @@ class TestComplexCounts:
 
     def test_degree_seven_subgroup_total(self, reports):
         # the irreducible total for G(2,2,7); no affine combination of the
-        # full-group totals matches it (209 + 10 and 209 - 10 both miss),
-        # which is why it only ever comes from a scan
+        # full-group totals matches it (209 + 10 and 209 - 10 both miss), so
+        # it comes from the maximal-set engine, checked here against a scan
         assert count_complex(GroupParams(2, 2, 7)) == 192
         assert reports(2, 2, 7).total_admissible == 192
         full = count_pinnacle_sets(2, 7)
@@ -236,8 +237,74 @@ class TestComplexCounts:
         with pytest.raises(BudgetExceeded) as info:
             count_complex(GroupParams(4, 2, 5), budget=tiny)
         assert info.value.params == GroupParams(2, 2, 5)
-        assert info.value.required == GroupParams(2, 2, 5).order
+        # C(5,2) 2^2 candidates, each testing 3 valley slots
+        assert info.value.required == comb(5, 2) * 2**2 * 3
         assert str(info.value.required) in str(info.value)
+        assert "candidate slot test" in str(info.value)
 
     def test_degree_one(self):
         assert count_complex(GroupParams(6, 3, 1)) == 1
+
+
+# every G(p,p,2r+1) with p <= 5 and n in {3,5,7} except G(5,5,7), whose order
+# 78,750,000 is past the suite's scan budget
+ENGINE_GRID = [(p, n) for p in (2, 3, 4, 5) for n in (3, 5, 7) if (p, n) != (5, 7)]
+
+
+class TestMaximalSetEngine:
+    def test_every_candidate_matches_the_scans(self, reports):
+        for p, n in ENGINE_GRID:
+            subgroup = reports(p, p, n)
+            # the full group's color-sum ranges, where it is small enough to scan
+            full = reports(p, 1, n) if GroupParams(p, 1, n).order <= 30_000_000 else None
+            kept = set()
+            for mags, colors, lo, hi in counting._maximal_sets(p, n):
+                P = PinSet(p, n, tuple(zip(colors, mags)))
+                assert (lo is not None) == is_admissible(P), (p, n, str(P))
+                if lo is None:
+                    continue
+                if full is not None:
+                    stats = full.stats[P]
+                    assert (stats.eps_min, stats.eps_max) == (lo, hi), (p, n, str(P))
+                if -lo % p <= hi - lo:
+                    kept.add(P)
+                    # G(p,p,n) keeps the multiples of p in [lo, hi]
+                    stats = subgroup.stats[P]
+                    assert (stats.eps_min, stats.eps_max) == (lo + -lo % p, hi - hi % p)
+            assert kept == {P for P in subgroup.stats if len(P) == max_pinnacles(n)}, (p, n)
+            assert count_complex(GroupParams(p, p, n)) == subgroup.total_admissible, (p, n)
+
+    def test_totals_beyond_the_suite_scans(self):
+        # an exhaustive scan of G(2,2,9), of order 92,897,280, with
+        # `pinnacles oracle --m 2 --p 2 --n 9 --budget 100000000` gives 1389
+        assert count_complex(GroupParams(2, 2, 9)) == 1389
+        # an independent set-space count, with an assignment solver in place
+        # of the matching, gave 7965 for G(3,3,9) and 10216 for G(2,2,11)
+        assert count_complex(GroupParams(3, 3, 9)) == 7965
+        assert count_complex(GroupParams(2, 2, 11)) == 10216
+
+    def test_matching_is_maximum_and_keeps_matched_slots(self):
+        # under the documented order each slot's cheap fillers are the larger
+        # magnitudes, so the first free filler always serves and no path is
+        # ever rerouted; random slot options exercise the augmenting paths
+        def brute(options, s=0, used=0):
+            if s == len(options):
+                return 0
+            best, mask = brute(options, s + 1, used), options[s] & ~used
+            while mask:
+                bit = mask & -mask
+                mask ^= bit
+                best = max(best, 1 + brute(options, s + 1, used | bit))
+            return best
+
+        rng = random.Random(5)
+        for _ in range(400):
+            fillers = rng.randint(1, 6)
+            options = [rng.getrandbits(fillers) << 1 for _ in range(rng.randint(1, 6))]
+            owner, matched = {}, set()
+            for s in range(len(options)):
+                if counting._augment(options, owner, s):
+                    matched.add(s)
+                assert set(owner.values()) == matched, options
+            assert all(options[t] & bit for bit, t in owner.items()), options
+            assert len(owner) == len(matched) == brute(options), options
