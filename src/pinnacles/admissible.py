@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import wreath
 from .wreath import ColoredValue, GenPerm, PinSet, pinnacle_set
 
 
@@ -56,7 +57,7 @@ def canonical_witness(P: PinSet) -> GenPerm:
 
     Word layout (positions n down to 1), with xi^(m-1)(v_1) < xi^(m-1)(v_2)
     < ... the top-color values on the unused magnitudes and p_1 < p_2 < ...
-    the elements of P, both ascending in the order of ``ColoredValue``:
+    the elements of P, both ascending in the order ``wreath.value_key(P.m)``:
 
         xi^(m-1)(v_1)  p_1  xi^(m-1)(v_2)  p_2 ... p_d  xi^(m-1)(v_{d+1}) ...
 
@@ -66,7 +67,8 @@ def canonical_witness(P: PinSet) -> GenPerm:
     if violation is not None:
         raise violation
     used = P.magnitude_set()
-    fillers = sorted(ColoredValue(P.m - 1, x) for x in range(1, P.n + 1) if x not in used)
+    fillers = sorted((ColoredValue(P.m - 1, x) for x in range(1, P.n + 1) if x not in used),
+                     key=wreath.value_key(P.m))
     word = [v for pair in zip(fillers, P.elements) for v in pair] + fillers[len(P) :]
     return GenPerm.from_word(P.m, word)
 
@@ -153,7 +155,7 @@ def colored_admissible_degree(P: PinSet) -> int:
 
     L is the largest magnitude in P, so all of P fits below the midpoint and
     the canonical witness ``canonical_witness(PinSet(P.m, N, P.elements))``,
-    laid out in the order of ``ColoredValue``, interleaves it in Z_m wr S_N.
+    laid out in the order ``wreath.value_key(P.m)``, interleaves it in Z_m wr S_N.
     """
     if not P.elements:
         raise ValueError("empty set has no colored degree")

@@ -28,6 +28,7 @@ from itertools import combinations, product
 from math import comb
 from operator import mul
 
+from . import wreath
 from .admissible import max_pinnacles
 from .oracle import BudgetExceeded, OracleBudget
 from .wreath import ColoredValue, GroupParams
@@ -208,7 +209,8 @@ def _maximal_sets(p: int, n: int):
     # matching the top-color slots (no color c+1) first, as they ascend first,
     # gives a maximum matching covering them if any exists.
     r, top = max_pinnacles(n), p - 1
-    values = sorted(ColoredValue(c, x) for c in range(p) for x in range(1, n + 1))
+    values = sorted((ColoredValue(c, x) for c in range(p) for x in range(1, n + 1)),
+                    key=wreath.value_key(p))
     rank = {(v.color, v.magnitude): i for i, v in enumerate(values)}
     color = [v.color for v in values]
     cheap = [sum(1 << y for y in range(1, n + 1) if rank[v.color, y] < i)

@@ -28,6 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
+from . import wreath
 from .wreath import ColoredValue, GenPerm, GroupParams, PinSet, color_sum, pinnacle_set
 
 DEFAULT_MAX_ORDER = 10_000_000
@@ -48,8 +49,8 @@ class BudgetExceeded(RuntimeError):
         self.required = required
         self.limit = limit
         super().__init__(
-            f"{params} has {what} {required}, exceeding the oracle budget {limit}; "
-            f"raise max_order to at least {required}"
+            f"{params} has {what} {required}, exceeding the budget {limit}; "
+            f"raise the budget to at least {required}"
         )
 
 
@@ -193,14 +194,15 @@ def _scan_vectorized(m: int, p: int, n: int, firsts: tuple[int, ...]) -> Counter
     eps_width = n * (m - 1) + 1
     per_word = len(colors)
     # below[a][b]: slot b sits strictly below slot b+1, where a is the descent
-    # bit of the word there.  The table reads ColoredValue.__lt__, which is
+    # bit of the word there.  The table reads wreath.value_key(m), which is
     # exact because the order compares different colors by color alone and
     # equal colors by magnitude, in a direction that depends only on the
-    # color.  Slot t is a pinnacle when it is below[t-1] and not below[t], so
-    # for the two descent bits a, b around it the pinnacle mask is one of four
-    # word-independent vectors.
-    lt = np.array([[[ColoredValue(c, 1 + a) < ColoredValue(e, 2 - a) for e in range(m)]
-                    for c in range(m)] for a in (0, 1)])
+    # color and m.  Slot t is a pinnacle when it is below[t-1] and not
+    # below[t], so for the two descent bits a, b around it the pinnacle mask
+    # is one of four word-independent vectors.
+    order = wreath.value_key(m)
+    lt = np.array([[[order(ColoredValue(c, 1 + a)) < order(ColoredValue(e, 2 - a))
+                     for e in range(m)] for c in range(m)] for a in (0, 1)])
     below = tuple(lt[a][colors[:, :-1], colors[:, 1:]].T for a in (0, 1))
     # bit index of the colored value (c, x) is c*n + x - 1; a pinnacle set is
     # the OR of its members' bits, giving a sigma-independent integer key.

@@ -6,13 +6,15 @@ sends the plain magnitudes 1..n.  We store that image by position and never
 evaluate xi as a complex number: every comparison and identity downstream
 depends on the exponents alone.
 
-The total order, defined once by ``ColoredValue.__lt__``, puts higher colors
-lower, and within one color larger magnitudes lower:
+The total order, defined once by ``value_key(m)``, puts higher colors lower,
+and within one color larger magnitudes lower:
 
     xi^(m-1)(n) < ... < xi^1(1) < xi^0(n) < ... < xi^0(2) < xi^0(1)
 
 so the plain integers sit on top, reversed.  A pinnacle of w is a value
-strictly above both word neighbors under this order.
+strictly above both word neighbors under this order.  Values themselves are
+unordered: every comparison goes through the key of the modulus at hand, so
+an order that depends on m needs no change outside ``value_key``.
 
 All types are immutable values and all operations are pure, so everything
 here is safe to share across threads.
@@ -20,27 +22,33 @@ here is safe to share across threads.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 
-@functools.total_ordering
 @dataclass(frozen=True)
 class ColoredValue:
-    """A symbolic xi^color(magnitude); ``__lt__`` is the one definition of the order."""
+    """A symbolic xi^color(magnitude); compare values by ``value_key(m)``."""
 
     color: int
     magnitude: int
 
-    def __lt__(self, other: "ColoredValue") -> bool:
-        if self.color != other.color:
-            return self.color > other.color
-        return self.magnitude > other.magnitude
-
     def __str__(self) -> str:
         return f"xi^{self.color}({self.magnitude})"
+
+
+def _documented_key(cv: ColoredValue) -> tuple[int, int]:
+    return (-cv.color, -cv.magnitude)
+
+
+def value_key(m: int) -> Callable[[ColoredValue], tuple[int, int]]:
+    """The sort key of the colored values of modulus m: the one definition of the order.
+
+    u sits below v exactly when ``key(u) < key(v)`` for ``key = value_key(m)``.
+    The documented order is the same for every m.
+    """
+    return _documented_key
 
 
 def check_value(cv: ColoredValue, m: int, n: int) -> None:
@@ -148,11 +156,11 @@ def inverse(w: GenPerm) -> GenPerm:
 
 def peaks(w: GenPerm) -> frozenset[int]:
     """Positions j in 2..n-1 whose value sits strictly above both neighbors."""
-    img = w.image
+    keys = list(map(value_key(w.m), w.image))
     return frozenset(
         j
         for j in range(2, w.n)
-        if img[j - 2] < img[j - 1] and img[j] < img[j - 1]
+        if keys[j - 2] < keys[j - 1] > keys[j]
     )
 
 
@@ -204,7 +212,7 @@ class PinSet:
     elements: tuple[ColoredValue, ...] = ()
 
     def __post_init__(self) -> None:
-        elems = tuple(sorted({_coerce_value(v) for v in self.elements}))
+        elems = tuple(sorted({_coerce_value(v) for v in self.elements}, key=value_key(self.m)))
         object.__setattr__(self, "elements", elems)
         if self.m < 1 or self.n < 1:
             raise ValueError(f"bad ambient (m={self.m}, n={self.n})")

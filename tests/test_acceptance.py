@@ -13,15 +13,15 @@ plus form would give 6 > 5 at r = 1.
 Beside criterion 6, an unnumbered test records where each candidate order on
 the colored values stands on three facts from the paper: (a) that identity at
 r = 3, (b) the odd-maximal reduction of G(6,3,5), and (c) the color-shift
-embedding at n = 5.  It swaps ``ColoredValue.__lt__`` alone, so it also shows
-that both scan engines read the order from there.
+embedding at n = 5.  It swaps ``wreath.value_key`` alone, so it also shows
+that both scan engines and the set-space count read the order from there.
 """
 
 import itertools
 import random
 import time
 
-from pinnacles import counting
+from pinnacles import counting, wreath
 from pinnacles.admissible import (
     canonical_witness,
     is_admissible,
@@ -239,15 +239,12 @@ ORDER_STATUS = {
 }
 
 
-def _candidate_lt(ascends):
-    def lt(self, other):
-        if self.color != other.color:
-            return self.color > other.color
-        if ascends(self.color):
-            return self.magnitude < other.magnitude
-        return self.magnitude > other.magnitude
+def _candidate_key(ascends):
+    # a stand-in for wreath.value_key under the order that ascends names
+    def value_key(m):
+        return lambda cv: (-cv.color, cv.magnitude if ascends(m, cv.color) else -cv.magnitude)
 
-    return lt
+    return value_key
 
 
 def test_candidate_order_status(capsys, monkeypatch):
@@ -257,13 +254,12 @@ def test_candidate_order_status(capsys, monkeypatch):
     start = time.perf_counter()
     failures = []
     lines = []
+
+    def scan(m, p, n, engine="vectorized"):
+        return collect_pinnacle_sets(GroupParams(m, p, n), engine=engine)
+
     for name, ascends in CANDIDATE_ORDERS.items():
-
-        def scan(m, p, n, engine="vectorized"):
-            # every PinSet is built under the order of the group it belongs to
-            monkeypatch.setattr(ColoredValue, "__lt__", _candidate_lt(lambda c: ascends(m, c)))
-            return collect_pinnacle_sets(GroupParams(m, p, n), engine=engine)
-
+        monkeypatch.setattr(wreath, "value_key", _candidate_key(ascends))
         for m, p, n in [(2, 2, 5), (3, 3, 5), (2, 1, 5), (4, 2, 5), (3, 1, 4)]:
             if scan(m, p, n) != scan(m, p, n, "reference"):
                 failures.append(f"{name}: engines disagree on G({m},{p},{n})")
@@ -272,6 +268,12 @@ def test_candidate_order_status(capsys, monkeypatch):
             failures.append(f"{name}: #APS(2,1,7), #APS(1,1,7) = {totals}, expected 209, 20")
         subgroup = scan(2, 2, 7).total_admissible
         irreducible = scan(3, 3, 5).total_admissible
+        # the set-space count follows the order too; asserted on G(p,p,n) only,
+        # since for p < m the count also rests on (b), which some orders break
+        engine = (count_complex(GroupParams(2, 2, 7)), count_complex(GroupParams(3, 3, 5)))
+        if engine != (subgroup, irreducible):
+            failures.append(f"{name}: count_complex G(2,2,7), G(3,3,5) = {engine}, "
+                            f"scanned {(subgroup, irreducible)}")
         reduction = (
             scan(6, 3, 5).total_admissible,
             irreducible + count_pinnacle_sets(6, 5) - count_pinnacle_sets(3, 5),
@@ -280,7 +282,6 @@ def test_candidate_order_status(capsys, monkeypatch):
         for m, k in STATUS_SHIFTS:
             sets = scan(m, 1, 5).stats
             target = scan(m + k, 1, 5).stats
-            # shift_set sorts its set under the target's order, patched last
             shift = ShiftParams(m, k, 5)
             lost.append((sum(shift_set(P, shift) not in target for P in sets), len(sets)))
         status = (subgroup, reduction, irreducible, tuple(lost))

@@ -17,7 +17,7 @@ from pinnacles.admissible import (
     is_admissible_top,
     max_pinnacles,
 )
-from pinnacles.wreath import ColoredValue, GenPerm, PinSet, pinnacle_set
+from pinnacles.wreath import ColoredValue, GenPerm, PinSet, pinnacle_set, value_key
 
 CV = ColoredValue
 
@@ -71,8 +71,9 @@ class TestCanonicalWitness:
         word = w.word
         pins = [v for v in word if v in P.elements]
         fills = [v for v in word if v not in P.elements]
-        assert pins == sorted(pins)
-        assert fills == sorted(fills)
+        key = value_key(P.m)
+        assert pins == sorted(pins, key=key)
+        assert fills == sorted(fills, key=key)
         assert all(v.color == P.m - 1 for v in fills)
 
     def test_max_pinnacle_word_attains_bound(self):

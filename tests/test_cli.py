@@ -138,11 +138,15 @@ class TestCountCommand:
         assert outputs["csv"][1] == f"m,p,n,d,value\n3,1,20000,9999,{value}\n"
 
     def test_budget_refusal_exit(self, capsys):
-        code, _, err = capture(
+        # the refusal names the budget and the value that would pass, in the
+        # words of --budget, not of the library's OracleBudget.max_order
+        code, out, err = capture(
             capsys,
             ["count", "--m", "4", "--p", "2", "--n", "9", "--budget", "1000"],
         )
-        assert code == EXIT_BUDGET and "budget" in err
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert err == ("error: G(2,2,9) has candidate slot test count 10080, exceeding the "
+                       "budget 1000; raise the budget to at least 10080\n")
 
     def test_env_var_budget(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.BUDGET_ENV_VAR, "10")
@@ -356,10 +360,12 @@ class TestOracleCommand:
         assert scanned == [GroupParams(3, 3, 5)]
 
     def test_budget_exit(self, capsys):
-        code, _, err = capture(
+        code, out, err = capture(
             capsys, ["oracle", "--m", "3", "--n", "7", "--budget", "100"]
         )
-        assert code == EXIT_BUDGET and "raise max_order" in err
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert err == ("error: G(3,1,7) has order 11022480, exceeding the budget 100; "
+                       "raise the budget to at least 11022480\n")
 
 
 class TestShiftCommand:

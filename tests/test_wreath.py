@@ -18,6 +18,7 @@ from pinnacles.wreath import (
     multiply,
     peaks,
     pinnacle_set,
+    value_key,
 )
 
 CV = ColoredValue
@@ -32,6 +33,9 @@ def all_elements(m, n):
 colored_values = st.builds(
     CV, color=st.integers(0, 6), magnitude=st.integers(1, 12)
 )
+
+# colored_values draws colors 0..6, so they compare under the key of modulus 7
+KEY7 = value_key(7)
 
 
 @st.composite
@@ -57,27 +61,33 @@ def gen_perm_pairs(draw, max_m=5, max_n=8):
 
 class TestOrder:
     def test_higher_color_is_lower(self):
-        assert CV(2, 10) < CV(1, 3)
+        assert KEY7(CV(2, 10)) < KEY7(CV(1, 3))
 
     def test_within_color_larger_magnitude_is_lower(self):
-        assert CV(0, 3) < CV(0, 2)
+        assert KEY7(CV(0, 3)) < KEY7(CV(0, 2))
 
     def test_reflexive_equality(self):
         assert CV(1, 4) == CV(1, 4)
 
     def test_plain_one_is_global_maximum(self):
+        key = value_key(3)
         values = [CV(c, x) for c in range(3) for x in range(1, 6)]
-        assert max(values) == CV(0, 1)
-        assert min(values) == CV(2, 5)
+        assert max(values, key=key) == CV(0, 1)
+        assert min(values, key=key) == CV(2, 5)
+
+    def test_values_have_no_order_of_their_own(self):
+        # the order needs the modulus, so a bare comparison has no meaning
+        with pytest.raises(TypeError):
+            CV(2, 10) < CV(1, 3)
 
     @given(colored_values, colored_values)
     def test_trichotomy(self, u, v):
-        assert (u < v) + (u == v) + (v < u) == 1
+        assert (KEY7(u) < KEY7(v)) + (u == v) + (KEY7(v) < KEY7(u)) == 1
 
     @given(colored_values, colored_values, colored_values)
     def test_transitivity(self, u, v, w):
-        if u < v and v < w:
-            assert u < w
+        if KEY7(u) < KEY7(v) and KEY7(v) < KEY7(w):
+            assert KEY7(u) < KEY7(w)
 
 
 class TestGroupOps:
@@ -278,7 +288,7 @@ class TestPinSet:
         union = []
         for i in range(4):
             union.extend(P.color_slice(i).elements)
-        assert sorted(union) == list(P.elements)
+        assert sorted(union, key=value_key(4)) == list(P.elements)
 
     def test_sorted_and_deduplicated(self):
         P = PinSet(3, 6, ((0, 2), (2, 5), (0, 2), (1, 1)))
