@@ -109,26 +109,26 @@ def _pack(alive: list[int]) -> dict[int, int]:
 
 
 def is_admissible_rec(P: PinSet) -> bool:
-    """Decider B: peel the color-0 slice and recurse one color down.
+    """Decider B: peel the lower colors off one at a time, lowest first.
 
     P is admissible iff its cardinality is within the cap, its magnitudes are
-    pairwise distinct, and the color-shifted remainder (colors lowered by one,
-    surviving magnitudes packed onto an initial segment) is admissible over
-    modulus m-1.  The base modulus 1 falls back to the witness test.
+    pairwise distinct, and the set left after peeling its lowest color (its
+    magnitudes dropped, the survivors packed onto an initial segment, colors
+    lowered by one) is admissible over modulus m-1.  One loop takes that step
+    for each color P uses below the top, since peeling an unused color changes
+    nothing but the modulus; the top-color slice is left over modulus 1, where
+    the witness test decides it.
     """
     if _violation(P) is not None:
         return False
-    if P.m == 1:
-        return is_admissible(P)
-    zero_mags = {cv.magnitude for cv in P.elements if cv.color == 0}
-    alive = [x for x in range(1, P.n + 1) if x not in zero_mags]
-    relabel = _pack(alive)
-    rest = tuple(
-        ColoredValue(cv.color - 1, relabel[cv.magnitude])
-        for cv in P.elements
-        if cv.color != 0
-    )
-    return is_admissible_rec(PinSet(P.m - 1, len(alive), rest))
+    n, top = P.n, P.m - 1
+    pairs = [(cv.color, cv.magnitude) for cv in P.elements]
+    for c in sorted({color for color, _ in pairs if color != top}):
+        gone = {x for color, x in pairs if color == c}
+        relabel = _pack([x for x in range(1, n + 1) if x not in gone])
+        n -= len(gone)
+        pairs = [(color, relabel[x]) for color, x in pairs if color != c]
+    return is_admissible(PinSet(1, n, tuple(ColoredValue(0, x) for _, x in pairs)))
 
 
 def is_admissible_top(P: PinSet) -> bool:

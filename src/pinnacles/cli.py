@@ -2,7 +2,7 @@
 
 Data goes to stdout (or ``--output``), diagnostics to stderr.  Exit codes:
 0 success, 1 validation or usage error, 2 internal cross-check mismatch or
-negative count, 3 oracle budget refusal.
+negative count, 3 budget refusal.
 
 Grammar: a colored value is ``COLOR:MAGNITUDE`` with decimal integers; a set
 is a comma-separated list of those or the literal ``empty``; a permutation is
@@ -194,7 +194,7 @@ def _cmd_witness(args) -> None:
         "params": {"m": args.m, "n": args.n},
         "set": set_tokens(P),
         "witness": perm_tokens(w),
-        "realizes": admissible.is_admissible(P),
+        "realizes": wreath.pinnacle_set(w) == P,
     }
     _emit(args, doc, f"{w}\n")
 

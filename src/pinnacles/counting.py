@@ -13,11 +13,11 @@ O(n*d), and the modulus recursion O(m*d^2) after a one-time table of
 binomial coefficients.
 
 Counts for the subgroups G(m,p,n) coincide with the full wreath product in
-every case except odd n at the maximal cardinality, where G(m,p,n) falls
-short of the full count by exactly what G(p,p,n) falls short of p(p,n,d).
-That shortfall rests on the irreducible total for G(p,p,n), which has no
-known closed form: it is counted in set space, one bipartite matching per
-candidate maximal set, C(n,r) p^r (r+1) slot tests in all for n = 2r+1.
+every case except odd n = 2r+1 at the maximal cardinality r, where G(m,p,n)
+falls short of the full count by L(p,r), the number of maximal sets that
+G(p,p,n) loses.  L(p,r) has no known closed form: it is counted in set space,
+one bipartite matching per candidate maximal set, C(n,r) p^r (r+1) slot
+tests in all.
 
 Everything is plain Python integers, so results are exact at any size.
 """
@@ -30,7 +30,7 @@ from operator import mul
 
 from . import wreath
 from .admissible import max_pinnacles
-from .oracle import BudgetExceeded, OracleBudget
+from .oracle import OracleBudget
 from .wreath import ColoredValue, GroupParams
 
 def _validate(m: int, n: int, d: int) -> None:
@@ -240,12 +240,12 @@ def count_complex(
 
     Equal to the full wreath-product count except in the odd-maximal case
     (n = 2r+1 and d = r), where G(m,p,n) loses exactly the color shifts of the
-    maximal sets that G(p,p,n) loses: p(p,n,r) less the total for G(p,p,n).
-    That total is p(p,n,r-1) plus the C(n,r) p^r candidate maximal sets with a
-    multiple of p in their color-sum range, from one matching each of their
-    r+1 valley slots.  ``method`` routes every full count.  The count refuses
-    with a budget error when those C(n,r) p^r (r+1) candidate slot tests
-    exceed ``budget.max_order``.
+    L(p,r) maximal sets that G(p,p,n) loses.  Those are the admissible ones
+    among the C(n,r) p^r candidate maximal sets with no multiple of p in their
+    color-sum range, from one matching each of their r+1 valley slots.
+    ``method`` routes the full count.  The count refuses with a budget error
+    when those C(n,r) p^r (r+1) candidate slot tests exceed
+    ``budget.max_order``.
     """
     cap = max_pinnacles(g.n)
     if d is None:
@@ -254,9 +254,6 @@ def count_complex(
     if g.p == 1 or g.n % 2 == 0 or g.n < 3 or d != cap:
         return full
     p, n = g.p, g.n
-    work, limit = comb(n, d) * p**d * (d + 1), (budget or OracleBudget()).max_order
-    if work > limit:
-        raise BudgetExceeded(GroupParams(p, p, n), work, limit, "candidate slot test count")
-    kept = count_pinnacle_sets(p, n, d - 1, method)
-    kept += sum(lo is not None and -lo % p <= hi - lo for *_, lo, hi in _maximal_sets(p, n))
-    return full - (count_pinnacle_sets(p, n, d, method) - kept)
+    work = comb(n, d) * p**d * (d + 1)
+    (budget or OracleBudget()).check(GroupParams(p, p, n), work, "candidate slot test count")
+    return full - sum(lo is not None and -lo % p > hi - lo for *_, lo, hi in _maximal_sets(p, n))

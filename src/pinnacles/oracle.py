@@ -56,7 +56,7 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class OracleBudget:
-    """Scan limits: group-order cap and partition width."""
+    """Work limits: the cap on a scan's group order or a count's slot tests, and scan width."""
 
     max_order: int = DEFAULT_MAX_ORDER
     partitions: int = 1
@@ -64,6 +64,11 @@ class OracleBudget:
     def __post_init__(self) -> None:
         if self.max_order < 1 or self.partitions < 1:
             raise ValueError("budget caps must be positive")
+
+    def check(self, g: GroupParams, required: int, what: str = "order") -> None:
+        """Refuse with BudgetExceeded when ``required`` units of work on g exceed the cap."""
+        if required > self.max_order:
+            raise BudgetExceeded(g, required, self.max_order, what)
 
 
 @dataclass(frozen=True)
@@ -121,11 +126,6 @@ class OracleReport:
         return grouped
 
 
-def _check_budget(g: GroupParams, budget: OracleBudget) -> None:
-    if g.order > budget.max_order:
-        raise BudgetExceeded(g, g.order, budget.max_order)
-
-
 def _word_stream(n: int, firsts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     # magnitude words (position n down to 1) in lexicographic order, restricted
     # to a given set of leftmost magnitudes; the scan partitions on these
@@ -150,8 +150,7 @@ def enumerate_group(g: GroupParams, budget: OracleBudget | None = None) -> Itera
     sums divisible by p.  Only members are generated: the rightmost color
     steps by p from the value that completes the sum to a multiple of p.
     """
-    budget = budget or OracleBudget()
-    _check_budget(g, budget)
+    (budget or OracleBudget()).check(g, g.order)
     yield from _elements(g.m, g.p, g.n, tuple(range(1, g.n + 1)))
 
 
@@ -293,7 +292,7 @@ def collect_pinnacle_sets(
     partitions run in separate processes; reports are identical either way.
     """
     budget = budget or OracleBudget()
-    _check_budget(g, budget)
+    budget.check(g, g.order)
     fits = _vector_key_bits(g.m, g.n) <= 62
     if engine == "auto":
         engine = "vectorized" if fits else "reference"

@@ -118,12 +118,6 @@ class GenPerm:
         base = self.image[value.magnitude - 1]
         return ColoredValue((base.color + value.color) % self.m, base.magnitude)
 
-    def __mul__(self, other: "GenPerm") -> "GenPerm":
-        return multiply(self, other)
-
-    def __invert__(self) -> "GenPerm":
-        return inverse(self)
-
     def __str__(self) -> str:
         return " ".join(str(v) for v in self.word)
 

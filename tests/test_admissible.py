@@ -151,6 +151,13 @@ class TestDeciderAgreement:
             assert not is_admissible_rec(P)
             assert not is_admissible_top(P)
 
+    @pytest.mark.parametrize("m", [1000, 1200, 10**9])
+    def test_deciders_agree_at_huge_modulus(self, m):
+        # decider B steps once per color used below the top, however large m is
+        sets = [PinSet(m, 5, ((0, 3),)), PinSet(m, 9, ((0, 3), (7, 5), (m - 2, 7), (m - 1, 8)))]
+        for P in sets:
+            assert is_admissible_rec(P) == is_admissible_top(P) == is_admissible(P), str(P)
+
     def test_agreement_with_oracle_membership(self, reports):
         for m, n in [(2, 4), (3, 4), (2, 5)]:
             admissible_sets = set(reports(m, 1, n).stats)

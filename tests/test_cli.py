@@ -181,6 +181,11 @@ class TestCheckCommand:
         assert code == EXIT_OK
         assert out.startswith("admissible\nwitness: xi^2(10) xi^1(3)")
 
+    def test_huge_modulus_answers(self, capsys):
+        code, out, err = capture(capsys, ["check", "--m", "1200", "--n", "5", "--set", "0:3"])
+        assert code == EXIT_OK and err == ""
+        assert out.startswith("admissible")
+
     def test_json_reports_all_deciders(self, capsys):
         code, out, _ = capture(
             capsys,
@@ -445,7 +450,7 @@ class TestUsage:
             cli.run(["--help"])
         out = capsys.readouterr().out
         assert info.value.code == 0
-        assert "Exit codes" in out and "3 oracle budget refusal" in out and "Grammar:" in out
+        assert "Exit codes" in out and "3 budget refusal" in out and "Grammar:" in out
         assert "_emit" not in out and "Handlers" not in out
 
     def test_closed_stdout_pipe_is_one_error_line(self):
