@@ -1,15 +1,17 @@
 """Deciding which candidate sets occur as pinnacle sets of some permutation.
 
-Three independent deciders are provided.  The canonical-witness test is the
-production one: a set is admissible exactly when the canonical witness built
-from it has the set as its pinnacles, which is a single O(n) scan.  The other
-two re-derive the answer structurally, peeling off one color at a time or
-jumping straight to the top color; they exist so the characterizations can be
+Three characterizations give three deciders.  A, the production one: a set
+is admissible exactly when the canonical witness built from it has the set
+as its pinnacles, a single O(n) scan.  B, a counting inequality: the j
+lowest elements find enough unused magnitudes below them for their j+1
+neighbors.  C, a reduction: only the top-color slice can fail, so A decides
+that slice alone.  B and C exist so the characterizations can be
 cross-checked against each other and against brute force.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import wreath
@@ -99,55 +101,37 @@ def is_admissible(P: PinSet) -> bool:
     return admissibility(P).admissible
 
 
-def _pack(alive: list[int]) -> dict[int, int]:
-    # order-preserving relabeling of the surviving magnitudes onto 1..len(alive).
-    # Deciders B and C rely on it: packing keeps the magnitude order and moving
-    # colors keeps the color order, so the smaller problem is ordered like the
-    # larger one while each moved color has the magnitude direction of the
-    # color it lands on.
-    return {x: i for i, x in enumerate(sorted(alive), start=1)}
-
-
 def is_admissible_rec(P: PinSet) -> bool:
-    """Decider B: peel the lower colors off one at a time, lowest first.
+    """Decider B: enough unused magnitudes sit below each pinnacle.
 
-    P is admissible iff its cardinality is within the cap, its magnitudes are
-    pairwise distinct, and the set left after peeling its lowest color (its
-    magnitudes dropped, the survivors packed onto an initial segment, colors
-    lowered by one) is admissible over modulus m-1.  One loop takes that step
-    for each color P uses below the top, since peeling an unused color changes
-    nothing but the modulus; the top-color slice is left over modulus 1, where
-    the witness test decides it.
+    The j lowest pinnacles need j+1 distinct neighbors below them, each on a
+    magnitude P does not use, and on any magnitude the top color gives the
+    lowest value.  So P is admissible iff its magnitudes are distinct and, for
+    every j, at least j+1 top-color values on unused magnitudes lie below the
+    j-th smallest element of P.  No witness is built.
     """
     if _violation(P) is not None:
         return False
-    n, top = P.n, P.m - 1
-    pairs = [(cv.color, cv.magnitude) for cv in P.elements]
-    for c in sorted({color for color, _ in pairs if color != top}):
-        gone = {x for color, x in pairs if color == c}
-        relabel = _pack([x for x in range(1, n + 1) if x not in gone])
-        n -= len(gone)
-        pairs = [(color, relabel[x]) for color, x in pairs if color != c]
-    return is_admissible(PinSet(1, n, tuple(ColoredValue(0, x) for _, x in pairs)))
+    key, used = wreath.value_key(P.m), P.magnitude_set()
+    fillers = sorted(key(ColoredValue(P.m - 1, y)) for y in range(1, P.n + 1) if y not in used)
+    return all(bisect_left(fillers, key(p)) > j for j, p in enumerate(P.elements, start=1))
 
 
 def is_admissible_top(P: PinSet) -> bool:
     """Decider C: only the top-color slice needs a nontrivial check.
 
-    After removing the magnitudes used by the lower colors, the slice of
-    color m-1 must be admissible as a plain (modulus 1) pinnacle set on the
-    packed remaining magnitudes; that single base decision uses decider A.
+    Every lower-color element lies above all top-color values, so it has
+    neighbors to spare.  The top-color slice, its magnitudes packed onto the
+    ones the lower colors leave, is decided by decider A at the same modulus.
     """
     if _violation(P) is not None:
         return False
     top = P.m - 1
     lower_mags = {cv.magnitude for cv in P.elements if cv.color != top}
     alive = [x for x in range(1, P.n + 1) if x not in lower_mags]
-    relabel = _pack(alive)
-    packed = tuple(
-        ColoredValue(0, relabel[cv.magnitude]) for cv in P.elements if cv.color == top
-    )
-    return is_admissible(PinSet(1, len(alive), packed))
+    rank = {x: i for i, x in enumerate(alive, start=1)}
+    packed = tuple(ColoredValue(top, rank[cv.magnitude]) for cv in P.elements if cv.color == top)
+    return is_admissible(PinSet(P.m, len(alive), packed))
 
 
 def colored_admissible_degree(P: PinSet) -> int:

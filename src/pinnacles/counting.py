@@ -58,7 +58,9 @@ def _nonnegative(method: str, m: int, n: int, d: int, value: int) -> int:
     return value
 
 
-def _rec_m(m: int, n: int, d: int) -> int:
+def count_recursion_m(m: int, n: int, d: int) -> int:
+    """Recursion in the modulus, splitting on how many pinnacles use color 0."""
+    _validate(m, n, d)
     # Every cell the recursion reaches is (m', n - d + e, e) with e <= d, since
     # each step lowers degree and cardinality together: one vector over e per
     # modulus holds them all, built up from m' = 1; the top needs only e = d.
@@ -79,30 +81,20 @@ def _rec_m(m: int, n: int, d: int) -> int:
     return sum(map(mul, coef[d], reversed(row)))
 
 
-def count_recursion_m(m: int, n: int, d: int) -> int:
-    """Recursion in the modulus, splitting on how many pinnacles use color 0."""
+def count_recursion_n(m: int, n: int, d: int) -> int:
+    """Recursion in the degree: drop one letter, a pinnacle or not."""
     _validate(m, n, d)
-    return _rec_m(m, n, d)
-
-
-def _rec_n(m: int, n: int, d: int) -> int:
     # Evaluated on the formal extension to every d >= 0: the degree recursion
     # momentarily steps past the cardinality cap of the smaller degree, where
     # the value is the same alternating partial sum continued.  Intermediate
     # values may be negative there; top-level queries never are.  row[j] is
     # the value at cardinality j of the current degree, advanced from 1 to n.
     if m == 1:
-        return comb(n - 1, d)
+        return _nonnegative("recursion-in-n", m, n, d, comb(n - 1, d))
     row = [1] + [(m - 1) * (-1) ** (j + 1) for j in range(1, d + 1)]
     for _ in range(n - 1):
         row = [1] + [m * row[j - 1] + row[j] for j in range(1, d + 1)]
-    return row[d]
-
-
-def count_recursion_n(m: int, n: int, d: int) -> int:
-    """Recursion in the degree: drop one letter, a pinnacle or not."""
-    _validate(m, n, d)
-    return _nonnegative("recursion-in-n", m, n, d, _rec_n(m, n, d))
+    return _nonnegative("recursion-in-n", m, n, d, row[d])
 
 
 def count_closed_alternating(m: int, n: int, d: int) -> int:

@@ -143,15 +143,16 @@ def _elements(m: int, p: int, n: int, firsts: tuple[int, ...]) -> Iterator[GenPe
 
 
 def enumerate_group(g: GroupParams, budget: OracleBudget | None = None) -> Iterator[GenPerm]:
-    """Yield each element of G(m,p,n) exactly once, in the canonical order.
+    """Iterate over each element of G(m,p,n) exactly once, in the canonical order.
 
     The order is lexicographic on the magnitude word crossed with odometer
     order on the color word (rightmost color fastest), restricted to color
     sums divisible by p.  Only members are generated: the rightmost color
     steps by p from the value that completes the sum to a multiple of p.
+    The budget is checked at the call, before anything is iterated.
     """
     (budget or OracleBudget()).check(g, g.order)
-    yield from _elements(g.m, g.p, g.n, tuple(range(1, g.n + 1)))
+    return _elements(g.m, g.p, g.n, tuple(range(1, g.n + 1)))
 
 
 def witnesses_of(
@@ -160,9 +161,7 @@ def witnesses_of(
     """All elements of G(m,p,n) whose pinnacle set is exactly P."""
     if P.m != g.m or P.n != g.n:
         raise ValueError(f"set over ({P.m},{P.n}) scanned in {g}")
-    for w in enumerate_group(g, budget):
-        if pinnacle_set(w) == P:
-            yield w
+    return (w for w in enumerate_group(g, budget) if pinnacle_set(w) == P)
 
 
 def _scan_reference(m: int, p: int, n: int, firsts: tuple[int, ...]) -> Counter:

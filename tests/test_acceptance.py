@@ -14,9 +14,11 @@ Beside criterion 6, an unnumbered test records where each candidate order on
 the colored values stands on three facts from the paper: (a) that identity at
 r = 3, (b) the odd-maximal reduction of G(6,3,5), and (c) the color-shift
 embedding at n = 5.  It swaps ``wreath.value_key`` alone, so it also shows
-that both scan engines and the set-space count read the order from there.
+that both scan engines and the set-space count read the order from there,
+and it checks the three deciders against the scans under each order.
 """
 
+import functools
 import itertools
 import random
 import time
@@ -239,6 +241,14 @@ ORDER_STATUS = {
 }
 
 
+def _distinct_magnitude_sets(m, n):
+    # every candidate set of Z_m wr S_n with distinct magnitudes, up to the cap
+    for size in range(max_pinnacles(n) + 1):
+        for mags in itertools.combinations(range(1, n + 1), size):
+            for colors in itertools.product(range(m), repeat=size):
+                yield PinSet(m, n, tuple(zip(colors, mags)))
+
+
 def _candidate_key(ascends):
     # a stand-in for wreath.value_key under the order that ascends names
     def value_key(m):
@@ -255,11 +265,13 @@ def test_candidate_order_status(capsys, monkeypatch):
     failures = []
     lines = []
 
+    @functools.lru_cache(maxsize=None)
     def scan(m, p, n, engine="vectorized"):
         return collect_pinnacle_sets(GroupParams(m, p, n), engine=engine)
 
     for name, ascends in CANDIDATE_ORDERS.items():
         monkeypatch.setattr(wreath, "value_key", _candidate_key(ascends))
+        scan.cache_clear()
         for m, p, n in [(2, 2, 5), (3, 3, 5), (2, 1, 5), (4, 2, 5), (3, 1, 4)]:
             if scan(m, p, n) != scan(m, p, n, "reference"):
                 failures.append(f"{name}: engines disagree on G({m},{p},{n})")
@@ -284,6 +296,14 @@ def test_candidate_order_status(capsys, monkeypatch):
             target = scan(m + k, 1, 5).stats
             shift = ShiftParams(m, k, 5)
             lost.append((sum(shift_set(P, shift) not in target for P in sets), len(sets)))
+        # every decider holds under every order, checked on the full groups
+        for m, n in [(1, 5), (2, 5), (3, 5), (4, 5), (2, 7)]:
+            scanned = set(scan(m, 1, n).stats)
+            for decider in (is_admissible, is_admissible_rec, is_admissible_top):
+                wrong = sum(decider(P) != (P in scanned) for P in _distinct_magnitude_sets(m, n))
+                if wrong:
+                    failures.append(f"{name}: {decider.__name__} misjudges {wrong} sets "
+                                    f"of G({m},1,{n})")
         status = (subgroup, reduction, irreducible, tuple(lost))
         if status != ORDER_STATUS[name]:
             failures.append(f"{name}: status {status}, expected {ORDER_STATUS[name]}")

@@ -1,6 +1,7 @@
 """Canonical witness construction and the three admissibility deciders."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -153,10 +154,28 @@ class TestDeciderAgreement:
 
     @pytest.mark.parametrize("m", [1000, 1200, 10**9])
     def test_deciders_agree_at_huge_modulus(self, m):
-        # decider B steps once per color used below the top, however large m is
+        # no decider's work grows with m: each reads only the magnitudes 1..n and P
         sets = [PinSet(m, 5, ((0, 3),)), PinSet(m, 9, ((0, 3), (7, 5), (m - 2, 7), (m - 1, 8)))]
         for P in sets:
             assert is_admissible_rec(P) == is_admissible_top(P) == is_admissible(P), str(P)
+
+    def test_deciders_agree_on_seeded_large_sets(self):
+        # beyond the scannable grid: free sets spread over 1..n and crowded
+        # ones packed near the bottom, where B's inequality is tight
+        rng = random.Random(14)
+        verdicts = set()
+        for i in range(2000):
+            m, n = rng.randint(2, 9), rng.randint(10, 200)
+            cap = max_pinnacles(n)
+            if i % 2:
+                mags = rng.sample(range(1, 2 * cap + 2), rng.randint(cap // 2, cap))
+            else:
+                mags = rng.sample(range(1, n + 1), rng.randint(0, cap))
+            P = PinSet(m, n, tuple((rng.choice((m - 1, rng.randrange(m))), x) for x in mags))
+            a = is_admissible(P)
+            assert is_admissible_rec(P) == is_admissible_top(P) == a, str(P)
+            verdicts.add(a)
+        assert verdicts == {True, False}
 
     def test_agreement_with_oracle_membership(self, reports):
         for m, n in [(2, 4), (3, 4), (2, 5)]:

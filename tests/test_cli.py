@@ -106,9 +106,10 @@ class TestCountCommand:
             assert out == "" and "mismatch" in err, argv
 
     def test_negative_count_hits_cross_check_exit(self, capsys, monkeypatch):
-        monkeypatch.setattr(counting, "_rec_n", lambda m, n, d: -3)
+        # at m = 1 the degree recursion is the binomial C(n-1, d)
+        monkeypatch.setattr(counting, "comb", lambda a, b: -3)
         code, out, err = capture(
-            capsys, ["count", "--m", "2", "--n", "5", "--method", "recursion-in-n"]
+            capsys, ["count", "--m", "1", "--n", "5", "--method", "recursion-in-n"]
         )
         assert code == EXIT_CROSSCHECK
         assert out == "" and "negative count -3" in err

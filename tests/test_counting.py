@@ -168,9 +168,9 @@ class TestDispatch:
 
     def test_negative_value_raises_typed_error(self, monkeypatch):
         # a check that must hold under python -O, where asserts are stripped
-        monkeypatch.setattr(counting, "_rec_n", lambda m, n, d: -3)
+        monkeypatch.setattr(counting, "comb", lambda a, b: -3)
         with pytest.raises(NegativeCount) as info:
-            count_recursion_n(2, 5, 2)
+            count_recursion_n(1, 5, 2)
         assert info.value.method == "recursion-in-n" and info.value.value == -3
         monkeypatch.setattr(counting, "comb", lambda a, b: -1)
         with pytest.raises(NegativeCount) as info:

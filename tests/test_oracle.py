@@ -68,6 +68,14 @@ class TestEnumeration:
             list(enumerate_group(GroupParams(3, 1, 7), OracleBudget(max_order=100)))
         assert info.value.required == 3**7 * 5040
 
+    def test_budget_refusal_at_the_call(self):
+        # nothing is iterated: the refusal comes before the first element
+        g, budget = GroupParams(9, 1, 12), OracleBudget(max_order=10)
+        with pytest.raises(BudgetExceeded):
+            enumerate_group(g, budget)
+        with pytest.raises(BudgetExceeded):
+            witnesses_of(PinSet(9, 12), g, budget)
+
 
 class TestWitnessStreams:
     def test_degree_two_everything_witnesses_empty(self):
