@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 from . import admissible, counting, oracle, shifts, wreath
 
@@ -251,11 +252,9 @@ def _cmd_oracle(args) -> None:
                 mismatches.append(
                     f"oracle/formula mismatch at d={d}: formulas say {expected}, scan found {got}"
                 )
-    rows = []
-    for P in report.sorted_sets():
-        stats = report.stats[P]
-        rows.append((set_tokens(P), len(P), stats.witness_count, stats.eps_min, stats.eps_max))
-    by_cardinality = {str(d): len(sets) for d, sets in report.by_cardinality().items()}
+    rows = [(set_tokens(P), len(P), stats.witness_count, stats.eps_min, stats.eps_max)
+            for P, stats in report.stats.items()]
+    by_cardinality = Counter(str(len(P)) for P in report.stats)
     doc = {
         "params": {"m": args.m, "p": args.p, "n": args.n},
         "scanned": report.scanned,

@@ -24,7 +24,7 @@ Everything is plain Python integers, so results are exact at any size.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 from math import comb
 from operator import mul
 
@@ -235,17 +235,18 @@ def count_complex(
     L(p,r) maximal sets that G(p,p,n) loses.  Those are the admissible ones
     among the C(n,r) p^r candidate maximal sets with no multiple of p in their
     color-sum range, from one matching each of their r+1 valley slots.
-    ``method`` routes the full count.  The count refuses with a budget error
-    when those C(n,r) p^r (r+1) candidate slot tests exceed
-    ``budget.max_order``.
+    ``method`` routes the full count.  The count refuses with a budget error,
+    before it counts anything, when those C(n,r) p^r (r+1) candidate slot
+    tests exceed ``budget.max_order``.
     """
     cap = max_pinnacles(g.n)
     if d is None:
         d = cap
-    full = count_pinnacle_sets(g.m, g.n, d, method)
     if g.p == 1 or g.n % 2 == 0 or g.n < 3 or d != cap:
-        return full
+        return count_pinnacle_sets(g.m, g.n, d, method)
     p, n = g.p, g.n
-    work = comb(n, d) * p**d * (d + 1)
-    (budget or OracleBudget()).check(GroupParams(p, p, n), work, "candidate slot test count")
-    return full - sum(lo is not None and -lo % p > hi - lo for *_, lo, hi in _maximal_sets(p, n))
+    # C(n,d) p^d (d+1) built up as (d+1) p^i C(n-d+i, i) for i = 0..d
+    tests = accumulate(range(1, d + 1), lambda t, i: t * p * (n - d + i) // i, initial=d + 1)
+    (budget or OracleBudget()).check(GroupParams(p, p, n), tests, "candidate slot test count")
+    lost = sum(lo is not None and -lo % p > hi - lo for *_, lo, hi in _maximal_sets(p, n))
+    return count_pinnacle_sets(g.m, g.n, d, method) - lost

@@ -14,7 +14,8 @@ not pay one Python iteration per word: single-threaded on a 2-core Xeon,
 G(1,1,8) runs at about 0.8 M elements/s (one coloring per word) and
 Z_2 wr S_8, Z_3 wr S_7 and G(4,4,7) at 23-39 M elements/s.  The scan is
 embarrassingly parallel over the leftmost word magnitude; partial tallies
-merge by summing counts, so any partitioning yields the same report.
+merge by summing counts, so reports are identical whatever the block size,
+compaction point and partitioning.
 
 numpy is imported by the vectorized engine when a scan runs, and the process
 pool only for a parallel scan, so importing the package loads neither.
@@ -24,9 +25,10 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import wreath
 from .wreath import ColoredValue, GenPerm, GroupParams, PinSet, color_sum, pinnacle_set
@@ -35,10 +37,8 @@ DEFAULT_MAX_ORDER = 10_000_000
 
 # colored rows per vectorized block: words per block = _ROWS // colorings per word
 _ROWS = 2**17
-
-# an engine tallies witnesses by (sorted (color, magnitude) pairs of the
-# pinnacle set, color sum); partial tallies merge by Counter.update
-RawKey = tuple[tuple[int, int], ...]
+# the vectorized engine merges its per-block tallies once they hold this many keys
+_COMPACT_AT = 2_000_000
 
 
 class BudgetExceeded(RuntimeError):
@@ -46,10 +46,13 @@ class BudgetExceeded(RuntimeError):
 
     def __init__(self, params: GroupParams, required: int, limit: int, what: str = "order"):
         self.params = params
-        self.required = required
+        self.required = required  # exact, or a lower bound when 2**64 times past the limit
         self.limit = limit
+        head = f"{params} has {what}"
         super().__init__(
-            f"{params} has {what} {required}, exceeding the budget {limit}; "
+            f"{head} at least 2**{required.bit_length() - 1}, far past the budget {limit}"
+            if required > limit << 64
+            else f"{head} {required}, exceeding the budget {limit}; "
             f"raise the budget to at least {required}"
         )
 
@@ -65,10 +68,23 @@ class OracleBudget:
         if self.max_order < 1 or self.partitions < 1:
             raise ValueError("budget caps must be positive")
 
-    def check(self, g: GroupParams, required: int, what: str = "order") -> None:
-        """Refuse with BudgetExceeded when ``required`` units of work on g exceed the cap."""
+    def check(self, g: GroupParams, partials: Iterable[int], what: str = "order") -> None:
+        """Refuse with BudgetExceeded when the work ``partials`` builds up exceeds the cap.
+
+        Each partial value bounds the next from below and the last is exact, so
+        reading stops once one is 2**64 times past the cap: refusals stay cheap.
+        """
+        for required in partials:
+            if required > self.max_order << 64:
+                break
         if required > self.max_order:
             raise BudgetExceeded(g, required, self.max_order, what)
+
+
+def _order_partials(g: GroupParams) -> Iterator[int]:
+    # m^n n!/p built up as m/p, times m for each further color, times 2..n
+    factors = itertools.chain((g.m // g.p,), itertools.repeat(g.m, g.n - 1), range(2, g.n + 1))
+    return itertools.accumulate(factors, operator.mul)
 
 
 @dataclass(frozen=True)
@@ -96,13 +112,13 @@ class PinStats:
         return values == tuple(range(values[0], values[-1] + 1))
 
 
-def _set_sort_key(P: PinSet):
-    return (len(P.elements), tuple((cv.color, cv.magnitude) for cv in P.elements))
-
-
 @dataclass(eq=True)
 class OracleReport:
-    """Everything the scan learned about G(m,p,n)."""
+    """Everything the scan learned about G(m,p,n).
+
+    ``stats`` is in print order: by cardinality, then by the (color, magnitude)
+    pairs of the elements, which PinSet keeps ascending under ``wreath.value_key``.
+    """
 
     params: GroupParams
     stats: dict[PinSet, PinStats]
@@ -115,15 +131,6 @@ class OracleReport:
     def count_up_to(self, d: int) -> int:
         """How many admissible sets have cardinality at most d."""
         return sum(1 for P in self.stats if len(P) <= d)
-
-    def sorted_sets(self) -> list[PinSet]:
-        return sorted(self.stats, key=_set_sort_key)
-
-    def by_cardinality(self) -> dict[int, list[PinSet]]:
-        grouped: dict[int, list[PinSet]] = {}
-        for P in self.sorted_sets():
-            grouped.setdefault(len(P), []).append(P)
-        return grouped
 
 
 def _word_stream(n: int, firsts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -151,7 +158,7 @@ def enumerate_group(g: GroupParams, budget: OracleBudget | None = None) -> Itera
     steps by p from the value that completes the sum to a multiple of p.
     The budget is checked at the call, before anything is iterated.
     """
-    (budget or OracleBudget()).check(g, g.order)
+    (budget or OracleBudget()).check(g, _order_partials(g))
     return _elements(g.m, g.p, g.n, tuple(range(1, g.n + 1)))
 
 
@@ -173,22 +180,14 @@ def _scan_reference(m: int, p: int, n: int, firsts: tuple[int, ...]) -> Counter:
     )
 
 
-def _vector_key_bits(m: int, n: int) -> int:
-    eps_width = n * (m - 1) + 1
-    return m * n + eps_width.bit_length()
-
-
 def _scan_vectorized(m: int, p: int, n: int, firsts: tuple[int, ...]) -> Counter:
     import numpy as np
 
-    rows = m**n
     place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    colors = (np.arange(rows, dtype=np.int64)[:, None] // place) % m
+    colors = (np.arange(m**n, dtype=np.int64)[:, None] // place) % m
     eps = colors.sum(axis=1)
-    if p > 1:
-        keep = (eps % p) == 0
-        colors = colors[keep]
-        eps = eps[keep]
+    keep = eps % p == 0
+    colors, eps = colors[keep], eps[keep]
     eps_width = n * (m - 1) + 1
     per_word = len(colors)
     # below[a][b]: slot b sits strictly below slot b+1, where a is the descent
@@ -213,47 +212,32 @@ def _scan_vectorized(m: int, p: int, n: int, firsts: tuple[int, ...]) -> Counter
     ]
     block = max(1, _ROWS // per_word)
 
-    agg: Counter = Counter()
-    buf_keys: list = []
-    buf_counts: list = []
-    buffered = 0
-
-    def _compact() -> None:
-        nonlocal buffered
-        if not buf_keys:
-            return
-        keys = np.concatenate(buf_keys)
-        counts = np.concatenate(buf_counts)
-        uniq, inverse = np.unique(keys, return_inverse=True)
-        totals = np.zeros(len(uniq), dtype=np.int64)
-        np.add.at(totals, inverse, counts)
-        agg.update(dict(zip(uniq.tolist(), totals.tolist())))
-        buf_keys.clear()
-        buf_counts.clear()
-        buffered = 0
-
     words = _word_stream(n, firsts)
+    pending: list = []  # (keys, counts) per block, merged at _COMPACT_AT keys and at the end
     while True:
         # a block of magnitude words against every coloring: (B, per_word) keys
         W = np.array(list(itertools.islice(words, block)), dtype=np.int64).reshape(-1, n)
+        if len(W):
+            descent = (W[:, :-1] > W[:, 1:]).astype(np.intp)
+            combo = 2 * descent[:, :-1] + descent[:, 1:]
+            key = np.zeros((len(W), per_word), dtype=np.int64)
+            for t in range(1, n - 1):
+                key |= peak_cells[t - 1][combo[:, t - 1]] << (W[:, t, None] - 1)
+            # named so that it outlives the block: freed at once, it let malloc trim the
+            # heap each block, and refaulting doubled the G(2,1,8) scan (2-core Xeon)
+            combined = key * eps_width + eps
+            pending.append(np.unique(combined, return_counts=True))
+        if len(pending) > 1 and (not len(W) or sum(len(k) for k, _ in pending) >= _COMPACT_AT):
+            keys, inverse = np.unique(np.concatenate([k for k, _ in pending]), return_inverse=True)
+            totals = np.zeros(len(keys), dtype=np.int64)
+            np.add.at(totals, inverse, np.concatenate([c for _, c in pending]))
+            pending = [(keys, totals)]
         if not len(W):
             break
-        descent = (W[:, :-1] > W[:, 1:]).astype(np.intp)
-        combo = 2 * descent[:, :-1] + descent[:, 1:]
-        key = np.zeros((len(W), per_word), dtype=np.int64)
-        for t in range(1, n - 1):
-            key |= peak_cells[t - 1][combo[:, t - 1]] << (W[:, t, None] - 1)
-        combined = key * eps_width + eps
-        uniq, counts = np.unique(combined, return_counts=True)
-        buf_keys.append(uniq)
-        buf_counts.append(counts)
-        buffered += len(uniq)
-        if buffered >= 2_000_000:
-            _compact()
-    _compact()
 
+    keys, totals = pending[0]
     tally: Counter = Counter()
-    for combined_key, count in agg.items():
+    for combined_key, count in zip(keys.tolist(), totals.tolist()):
         bits, eps_value = divmod(combined_key, eps_width)
         pairs = []
         while bits:
@@ -266,15 +250,9 @@ def _scan_vectorized(m: int, p: int, n: int, firsts: tuple[int, ...]) -> Counter
     return tally
 
 
+# an engine tallies witnesses by (sorted (color, magnitude) pairs of the
+# pinnacle set, color sum); partial tallies merge by Counter.update
 ENGINES = {"vectorized": _scan_vectorized, "reference": _scan_reference}
-
-
-def _partition_firsts(n: int, partitions: int) -> list[tuple[int, ...]]:
-    chunks = min(partitions, n)
-    out: list[list[int]] = [[] for _ in range(chunks)]
-    for x in range(1, n + 1):
-        out[(x - 1) % chunks].append(x)
-    return [tuple(chunk) for chunk in out]
 
 
 def collect_pinnacle_sets(
@@ -291,8 +269,9 @@ def collect_pinnacle_sets(
     partitions run in separate processes; reports are identical either way.
     """
     budget = budget or OracleBudget()
-    budget.check(g, g.order)
-    fits = _vector_key_bits(g.m, g.n) <= 62
+    budget.check(g, _order_partials(g))
+    # a key holds one bit per colored value, then the color sum below it
+    fits = g.m * g.n + (g.n * (g.m - 1) + 1).bit_length() <= 62
     if engine == "auto":
         engine = "vectorized" if fits else "reference"
     if engine not in ENGINES:
@@ -300,7 +279,8 @@ def collect_pinnacle_sets(
     if engine == "vectorized" and not fits:
         raise ValueError(f"vectorized keys overflow for (m={g.m}, n={g.n}); use reference")
     scan = functools.partial(ENGINES[engine], g.m, g.p, g.n)
-    parts = _partition_firsts(g.n, budget.partitions)
+    chunks = min(budget.partitions, g.n)  # round robin over the leftmost magnitude
+    parts = [tuple(range(i + 1, g.n + 1, chunks)) for i in range(chunks)]
     if parallel and len(parts) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -314,15 +294,11 @@ def collect_pinnacle_sets(
     scanned = sum(tally.values())
     if scanned != g.order:
         raise RuntimeError(f"scanned {scanned} elements of {g}, expected {g.order}")
-    by_set: dict[RawKey, dict[int, int]] = {}
+    by_set: dict[tuple, dict[int, int]] = {}
     for (key, eps), count in tally.items():
         by_set.setdefault(key, {})[eps] = count
-    stats: dict[PinSet, PinStats] = {}
-    for key in sorted(by_set):
-        hist = by_set[key]
-        P = PinSet(g.m, g.n, tuple(ColoredValue(c, x) for c, x in key))
-        stats[P] = PinStats(
-            witness_count=sum(hist.values()),
-            eps_histogram=tuple(sorted(hist.items())),
-        )
+    sets = [(PinSet(g.m, g.n, tuple(ColoredValue(c, x) for c, x in key)), hist)
+            for key, hist in by_set.items()]
+    sets.sort(key=lambda e: (len(e[0]), [(cv.color, cv.magnitude) for cv in e[0].elements]))
+    stats = {P: PinStats(sum(hist.values()), tuple(sorted(hist.items()))) for P, hist in sets}
     return OracleReport(params=g, stats=stats, scanned=scanned)

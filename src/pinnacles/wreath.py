@@ -103,7 +103,7 @@ class GenPerm:
     @classmethod
     def from_word(cls, m: int, word: Iterable) -> "GenPerm":
         """Build from one-line notation: values listed w(n), w(n-1), ..., w(1)."""
-        return cls(m, tuple(reversed([_coerce_value(v) for v in word])))
+        return cls(m, tuple(word)[::-1])
 
     @property
     def word(self) -> tuple[ColoredValue, ...]:

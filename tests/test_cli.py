@@ -446,6 +446,23 @@ class TestUsage:
         )
         assert proc.returncode == EXIT_USAGE
 
+    def test_refusal_far_past_the_budget_is_quick_and_short(self):
+        # neither the group order nor the slot-test count is computed in full:
+        # the refusal stops once the product is 2**64 times past the budget
+        import subprocess
+        import sys
+
+        for argv, line in (
+            (["oracle", "--m", "2", "--n", "1000000"],
+             "G(2,1,1000000) has order at least 2**88, far past the budget 10000000"),
+            (["count", "--m", "2", "--p", "2", "--n", "200001", "--budget", "10"],
+             "G(2,2,200001) has candidate slot test count at least 2**82, far past the budget 10"),
+        ):
+            proc = subprocess.run([sys.executable, "-m", "pinnacles", *argv],
+                                  capture_output=True, text=True, timeout=20)
+            assert (proc.returncode, proc.stdout) == (EXIT_BUDGET, "")
+            assert proc.stderr == f"error: {line}\n"
+
     def test_help_shows_usage_not_internals(self, capsys):
         with pytest.raises(SystemExit) as info:
             cli.run(["--help"])

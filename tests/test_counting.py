@@ -242,6 +242,14 @@ class TestComplexCounts:
         assert str(info.value.required) in str(info.value)
         assert "candidate slot test" in str(info.value)
 
+    def test_budget_refusal_comes_before_the_count(self, monkeypatch):
+        def no_count(*args, **kwargs):
+            raise AssertionError("counted before refusing")
+
+        monkeypatch.setattr(counting, "count_pinnacle_sets", no_count)
+        with pytest.raises(BudgetExceeded):
+            count_complex(GroupParams(2, 2, 9), budget=OracleBudget(max_order=1000))
+
     def test_degree_one(self):
         assert count_complex(GroupParams(6, 3, 1)) == 1
 

@@ -130,10 +130,11 @@ class TestReports:
 
     def test_count_up_to_and_grouping(self, reports):
         rep = reports(2, 1, 5)
-        by_card = rep.by_cardinality()
-        assert sorted(by_card) == [0, 1, 2]
+        sizes = [len(P) for P in rep.stats]
+        assert sizes == sorted(sizes)
+        assert sorted(set(sizes)) == [0, 1, 2]
         assert rep.count_up_to(0) == 1
-        assert rep.count_up_to(1) == 1 + len(by_card[1])
+        assert rep.count_up_to(1) == 1 + sizes.count(1)
         assert rep.count_up_to(2) == 31
 
     def test_eps_intervals_and_canonical_maximum(self, reports):
@@ -197,15 +198,19 @@ class TestEnginesAndPartitioning:
         # the vectorized engine sweeps _ROWS // (colorings per word) words at
         # once; blocks of one word, and blocks of seven words, which split the
         # 120 words of a whole scan and the 48 or 24 of each of four partitions
-        # unevenly, must give the reports of the default block size
+        # unevenly, must give the reports of the default block size, and so
+        # must merging the per-block tallies after every block (_COMPACT_AT = 1)
         for g in (GroupParams(2, 1, 5), GroupParams(3, 3, 5)):
-            per_word = g.m**g.n // g.p
+            seven = 8 * (g.m**g.n // g.p) - 1
             for parts in (1, 4):
                 budget = OracleBudget(partitions=parts)
                 expected = collect_pinnacle_sets(g, budget)
-                for rows in (1, 8 * per_word - 1):
-                    monkeypatch.setattr(oracle, "_ROWS", rows)
-                    assert collect_pinnacle_sets(g, budget) == expected, (g, parts, rows)
+                for patch in ({"_ROWS": 1}, {"_ROWS": seven}, {"_ROWS": seven, "_COMPACT_AT": 1}):
+                    for name, value in patch.items():
+                        monkeypatch.setattr(oracle, name, value)
+                    got = collect_pinnacle_sets(g, budget)
+                    assert got == expected, (g, parts, patch)
+                    assert list(got.stats) == list(expected.stats)
                     monkeypatch.undo()
 
     def test_parallel_matches_serial(self):
