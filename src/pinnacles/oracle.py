@@ -1,44 +1,49 @@
 """Brute-force ground truth by exhaustive scan of G(m,p,n).
 
-Every group element is visited exactly once, its pinnacle set extracted, and
+Every group element is counted exactly once, its pinnacle set extracted, and
 the results aggregated per set: how many witnesses it has and which color
 sums they achieve.  Nothing here uses the counting formulas or the deciders,
 so the reports are an independent check of both.
 
-Two engines share one contract.  The reference engine walks real permutation
-objects through the normative pinnacle extraction; the vectorized engine
-sweeps a block of magnitude words against all color vectors in one numpy
-pass, encoding each pinnacle set as a bitmap over the mn colored values.
-Blocks hold about 2**17 elements, so groups with few colorings per word do
-not pay one Python iteration per word: single-threaded on a 2-core Xeon,
-G(1,1,8) runs at about 0.8 M elements/s (one coloring per word) and
-Z_2 wr S_8, Z_3 wr S_7 and G(4,4,7) at 23-39 M elements/s.  The scan is
-embarrassingly parallel over the leftmost word magnitude; partial tallies
-merge by summing counts, so reports are identical whatever the block size,
-compaction point and partitioning.
+Two engines share one contract.  The reference engine visits every element
+as a real permutation object and takes the normative pinnacle extraction.
+The vectorized engine counts the elements as a product of two numpy
+tallies.  An element is a magnitude word with a coloring, and whether slot
+t is a pinnacle depends only on the word's two descent bits around t and on
+three colors, so the pinnacle slots S of a coloring depend on the word only
+through its descent pattern D.  Every (descent pattern, coloring) pair is
+visited once and counted by (D, S, colors at S, color sum), and every word
+once, in blocks of at most 1024 words, counted by (D, magnitudes at S).
+A pinnacle set pairs the colors at S with the magnitudes at S, so the two
+counts multiply: one exact int64 matrix product per size of S sums them
+over D, and each set is keyed as a bitmap over the mn colored values.
+Single-threaded on a 2-core Xeon, G(1,1,10), with one coloring per word,
+scans at about 9 M elements/s, Z_2 wr S_8 at 360 M/s and Z_3 wr S_7 and
+G(4,4,7) at 550-660 M/s.  The scan is embarrassingly parallel over the
+leftmost word magnitude; partial tallies merge by summing counts, so
+reports are identical whatever the word-block size and partitioning.
 
-numpy is imported by the vectorized engine when a scan runs, and the process
-pool only for a parallel scan, so importing the package loads neither.
+The vectorized engine's code is the private module _vectorized, which is
+imported with numpy when a scan runs, and the process pool only for a
+parallel scan, so importing the package loads none of them.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from . import wreath
 from .wreath import ColoredValue, GenPerm, GroupParams, PinSet, color_sum, pinnacle_set
 
 DEFAULT_MAX_ORDER = 10_000_000
 
-# colored rows per vectorized block: words per block = _ROWS // colorings per word
-_ROWS = 2**17
-# the vectorized engine merges its per-block tallies once they hold this many keys
-_COMPACT_AT = 2_000_000
+# the vectorized engine's lookup tables hold at most this many entries
+_TABLE = 2**27
 
 
 class BudgetExceeded(RuntimeError):
@@ -181,73 +186,38 @@ def _scan_reference(m: int, p: int, n: int, firsts: tuple[int, ...]) -> Counter:
 
 
 def _scan_vectorized(m: int, p: int, n: int, firsts: tuple[int, ...]) -> Counter:
-    import numpy as np
+    from ._vectorized import scan  # like numpy, compiled and loaded when a scan runs
 
-    place = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    colors = (np.arange(m**n, dtype=np.int64)[:, None] // place) % m
-    eps = colors.sum(axis=1)
-    keep = eps % p == 0
-    colors, eps = colors[keep], eps[keep]
+    return scan(m, p, n, firsts)
+
+
+def _fits(g: GroupParams) -> bool:
+    """Whether the vectorized engine can scan g.
+
+    Every value it packs into an int64 stays below 2**62: the report key (one
+    bit per colored value, then the color sum), the color side's cell (the
+    pattern, then the pinnacle slots with their colors, then the color sum),
+    the word side's counter index (the rank of the magnitudes at the slots,
+    then the row of the slots and pattern) and every count, which the group
+    order bounds.  Its two lookup tables, indexed by the color side's
+    base-(m+1) state and the word side's base-(n+1) code, stay below _TABLE
+    entries.
+    """
+    m, n = g.m, g.n
     eps_width = n * (m - 1) + 1
-    per_word = len(colors)
-    # below[a][b]: slot b sits strictly below slot b+1, where a is the descent
-    # bit of the word there.  The table reads wreath.value_key(m), which is
-    # exact because the order compares different colors by color alone and
-    # equal colors by magnitude, in a direction that depends only on the
-    # color and m.  Slot t is a pinnacle when it is below[t-1] and not
-    # below[t], so for the two descent bits a, b around it the pinnacle mask
-    # is one of four word-independent vectors.
-    order = wreath.value_key(m)
-    lt = np.array([[[order(ColoredValue(c, 1 + a)) < order(ColoredValue(e, 2 - a))
-                     for e in range(m)] for c in range(m)] for a in (0, 1)])
-    below = tuple(lt[a][colors[:, :-1], colors[:, 1:]].T for a in (0, 1))
-    # bit index of the colored value (c, x) is c*n + x - 1; a pinnacle set is
-    # the OR of its members' bits, giving a sigma-independent integer key.
-    # peak_cells[t-1][2a+b] holds bit c*n of slot t where it is a pinnacle
-    # under descent bits a, b and 0 elsewhere; shifting by x - 1 adds x.
-    cells = np.left_shift(np.int64(1), colors.T * n)
-    peak_cells = [
-        np.stack([cells[t] * (below[a][t - 1] & ~below[b][t]) for a in (0, 1) for b in (0, 1)])
-        for t in range(1, n - 1)
-    ]
-    block = max(1, _ROWS // per_word)
-
-    words = _word_stream(n, firsts)
-    pending: list = []  # (keys, counts) per block, merged at _COMPACT_AT keys and at the end
-    while True:
-        # a block of magnitude words against every coloring: (B, per_word) keys
-        W = np.array(list(itertools.islice(words, block)), dtype=np.int64).reshape(-1, n)
-        if len(W):
-            descent = (W[:, :-1] > W[:, 1:]).astype(np.intp)
-            combo = 2 * descent[:, :-1] + descent[:, 1:]
-            key = np.zeros((len(W), per_word), dtype=np.int64)
-            for t in range(1, n - 1):
-                key |= peak_cells[t - 1][combo[:, t - 1]] << (W[:, t, None] - 1)
-            # named so that it outlives the block: freed at once, it let malloc trim the
-            # heap each block, and refaulting doubled the G(2,1,8) scan (2-core Xeon)
-            combined = key * eps_width + eps
-            pending.append(np.unique(combined, return_counts=True))
-        if len(pending) > 1 and (not len(W) or sum(len(k) for k, _ in pending) >= _COMPACT_AT):
-            keys, inverse = np.unique(np.concatenate([k for k, _ in pending]), return_inverse=True)
-            totals = np.zeros(len(keys), dtype=np.int64)
-            np.add.at(totals, inverse, np.concatenate([c for _, c in pending]))
-            pending = [(keys, totals)]
-        if not len(W):
-            break
-
-    keys, totals = pending[0]
-    tally: Counter = Counter()
-    for combined_key, count in zip(keys.tolist(), totals.tolist()):
-        bits, eps_value = divmod(combined_key, eps_width)
-        pairs = []
-        while bits:
-            low = bits & -bits
-            cell = low.bit_length() - 1
-            color, mag = divmod(cell, n)
-            pairs.append((color, mag + 1))
-            bits ^= low
-        tally[tuple(pairs), eps_value] = count
-    return tally
+    # checked first, since it also keeps m and n, and so every size below, small
+    if m * n + eps_width.bit_length() > 62:
+        return False
+    patterns = 1 << (n - 1)
+    # the k-sets of the slots 1..n-2 with no two slots adjacent, k = 0..cap
+    sets = [math.comb(n - 1 - k, k) for k in range((n - 1) // 2 + 1)]
+    packed = (
+        patterns * eps_width * sum(count * m**k for k, count in enumerate(sets)),
+        sum(math.perm(n, k) * (count * patterns + 1) for k, count in enumerate(sets)),
+        g.order,
+    )
+    tables = ((m + 1) ** max(n - 2, 0) * max(n - 2, 1), (n + 1) ** (len(sets) - 1))
+    return max(packed) <= 1 << 62 and max(tables) <= _TABLE
 
 
 # an engine tallies witnesses by (sorted (color, magnitude) pairs of the
@@ -264,20 +234,20 @@ def collect_pinnacle_sets(
     """Scan all of G(m,p,n) and report every pinnacle set it realizes.
 
     ``engine`` is "auto", "vectorized", or "reference".  Auto picks the numpy
-    scan unless the bitmap key would overflow 62 bits (huge m with tiny n),
-    then falls back to the reference walk.  With ``parallel=True`` the
-    partitions run in separate processes; reports are identical either way.
+    scan unless its keys or tables would be too wide (huge m with tiny n, or
+    huge n), then falls back to the reference walk.  With ``parallel=True``
+    the partitions run in separate processes; reports are identical either
+    way.
     """
     budget = budget or OracleBudget()
     budget.check(g, _order_partials(g))
-    # a key holds one bit per colored value, then the color sum below it
-    fits = g.m * g.n + (g.n * (g.m - 1) + 1).bit_length() <= 62
+    fits = _fits(g)
     if engine == "auto":
         engine = "vectorized" if fits else "reference"
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
     if engine == "vectorized" and not fits:
-        raise ValueError(f"vectorized keys overflow for (m={g.m}, n={g.n}); use reference")
+        raise ValueError(f"vectorized keys or tables too wide for {g}; use reference")
     scan = functools.partial(ENGINES[engine], g.m, g.p, g.n)
     chunks = min(budget.partitions, g.n)  # round robin over the leftmost magnitude
     parts = [tuple(range(i + 1, g.n + 1, chunks)) for i in range(chunks)]
@@ -288,8 +258,8 @@ def collect_pinnacle_sets(
             partials = list(pool.map(scan, parts))
     else:
         partials = [scan(firsts) for firsts in parts]
-    tally: Counter = Counter()
-    for part in partials:
+    tally = partials[0]
+    for part in partials[1:]:
         tally.update(part)
     scanned = sum(tally.values())
     if scanned != g.order:
@@ -297,8 +267,9 @@ def collect_pinnacle_sets(
     by_set: dict[tuple, dict[int, int]] = {}
     for (key, eps), count in tally.items():
         by_set.setdefault(key, {})[eps] = count
-    sets = [(PinSet(g.m, g.n, tuple(ColoredValue(c, x) for c, x in key)), hist)
+    values = {(c, x): ColoredValue(c, x) for c in range(g.m) for x in range(1, g.n + 1)}
+    sets = [(PinSet(g.m, g.n, tuple(map(values.__getitem__, key))), hist)
             for key, hist in by_set.items()]
-    sets.sort(key=lambda e: (len(e[0]), [(cv.color, cv.magnitude) for cv in e[0].elements]))
+    sets.sort(key=lambda e: (len(e[0]), [cv.color * g.n + cv.magnitude for cv in e[0].elements]))
     stats = {P: PinStats(sum(hist.values()), tuple(sorted(hist.items()))) for P, hist in sets}
     return OracleReport(params=g, stats=stats, scanned=scanned)

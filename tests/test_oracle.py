@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from pinnacles import oracle
+from pinnacles import _vectorized, oracle, wreath
 from pinnacles.admissible import canonical_witness, is_admissible, max_pinnacles
 from pinnacles.oracle import (
     BudgetExceeded,
@@ -176,8 +176,8 @@ class TestReports:
 class TestEnginesAndPartitioning:
     GRIDS = [
         (1, 1, 4), (2, 1, 4), (2, 2, 4), (3, 1, 4), (2, 1, 5), (5, 1, 3), (4, 2, 4), (3, 3, 4),
-        # one word, one coloring per word, and p > 1 filtering across blocks
-        (1, 1, 1), (1, 1, 2), (2, 1, 2), (1, 1, 6), (2, 2, 6), (3, 3, 5),
+        # one word, one coloring per word, p > 1 filtering, and words in several blocks
+        (1, 1, 1), (1, 1, 2), (2, 1, 2), (1, 1, 6), (2, 2, 6), (3, 3, 5), (2, 1, 6), (1, 1, 7),
     ]
 
     def test_reference_and_vectorized_agree(self):
@@ -187,6 +187,20 @@ class TestEnginesAndPartitioning:
                 g, engine="vectorized"
             ), (m, p, n)
 
+    def test_engines_read_the_order_only_through_value_key(self, monkeypatch):
+        # the vectorized engine's pattern tables must follow wreath.value_key,
+        # here swapped for the top-asc order: color m-1's magnitudes ascend
+        def top_asc(m):
+            return lambda cv: (-cv.color, cv.magnitude if cv.color == m - 1 else -cv.magnitude)
+
+        monkeypatch.setattr(wreath, "value_key", top_asc)
+        for m, p, n in [(2, 2, 6), (3, 1, 5), (3, 3, 5)]:
+            g = GroupParams(m, p, n)
+            reference = collect_pinnacle_sets(g, engine="reference")
+            vectorized = collect_pinnacle_sets(g, engine="vectorized")
+            assert vectorized == reference, (m, p, n)
+            assert list(vectorized.stats) == list(reference.stats)
+
     def test_partition_invariance(self):
         g = GroupParams(3, 1, 4)
         one = collect_pinnacle_sets(g, OracleBudget(partitions=1))
@@ -195,19 +209,18 @@ class TestEnginesAndPartitioning:
         assert one == four == many
 
     def test_block_boundaries_do_not_change_reports(self, monkeypatch):
-        # the vectorized engine sweeps _ROWS // (colorings per word) words at
-        # once; blocks of one word, and blocks of seven words, which split the
-        # 120 words of a whole scan and the 48 or 24 of each of four partitions
-        # unevenly, must give the reports of the default block size, and so
-        # must merging the per-block tallies after every block (_COMPACT_AT = 1)
+        # the vectorized engine counts words in blocks of at most _WORDS;
+        # blocks of one word, and blocks of seven words, which split the 24
+        # words of each leftmost magnitude unevenly, must give the reports of
+        # the default block size, and so must words cut into a head of two
+        # magnitudes and a table of the permutations of the last _TAIL = 3
         for g in (GroupParams(2, 1, 5), GroupParams(3, 3, 5)):
-            seven = 8 * (g.m**g.n // g.p) - 1
             for parts in (1, 4):
                 budget = OracleBudget(partitions=parts)
                 expected = collect_pinnacle_sets(g, budget)
-                for patch in ({"_ROWS": 1}, {"_ROWS": seven}, {"_ROWS": seven, "_COMPACT_AT": 1}):
+                for patch in ({"_WORDS": 1}, {"_WORDS": 7}, {"_WORDS": 7, "_TAIL": 3}):
                     for name, value in patch.items():
-                        monkeypatch.setattr(oracle, name, value)
+                        monkeypatch.setattr(_vectorized, name, value)
                     got = collect_pinnacle_sets(g, budget)
                     assert got == expected, (g, parts, patch)
                     assert list(got.stats) == list(expected.stats)
@@ -228,6 +241,19 @@ class TestEnginesAndPartitioning:
         assert rep.total_admissible == count_pinnacle_sets(25, 3)
         with pytest.raises(ValueError):
             collect_pinnacle_sets(g, engine="vectorized")
+
+    def test_fits_rule_at_its_boundaries(self):
+        # the rule is arithmetic on (m, n), so nothing here scans: the report
+        # key holds m*n bits and the color sum, and the word side's table of
+        # base-(n+1) codes of the magnitudes at up to 7 slots outgrows _TABLE
+        fits = oracle._fits
+        assert fits(GroupParams(18, 1, 3)) and not fits(GroupParams(19, 1, 3))
+        assert fits(GroupParams(1, 1, 14)) and not fits(GroupParams(1, 1, 15))
+        assert not fits(GroupParams(1, 1, 33))
+        assert not fits(GroupParams(10**9, 1, 10**6))  # decided without the order or 2**(m*n)
+        with pytest.raises(ValueError):
+            collect_pinnacle_sets(GroupParams(1, 1, 15), OracleBudget(max_order=10**13),
+                                  engine="vectorized")
 
     def test_unknown_engine(self):
         with pytest.raises(ValueError):
