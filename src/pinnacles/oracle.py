@@ -32,12 +32,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from .admissible import max_pinnacles
 from .wreath import ColoredValue, GenPerm, GroupParams, PinSet, color_sum, pinnacle_set
 
 DEFAULT_MAX_ORDER = 10_000_000
@@ -185,44 +185,24 @@ def _scan_reference(m: int, p: int, n: int, firsts: tuple[int, ...]) -> Counter:
     )
 
 
-def _scan_vectorized(m: int, p: int, n: int, firsts: tuple[int, ...]) -> Counter:
-    from ._vectorized import scan  # like numpy, compiled and loaded when a scan runs
-
-    return scan(m, p, n, firsts)
-
-
 def _fits(g: GroupParams) -> bool:
     """Whether the vectorized engine can scan g.
 
-    Every value it packs into an int64 stays below 2**62: the report key (one
-    bit per colored value, then the color sum), the color side's cell (the
-    pattern, then the pinnacle slots with their colors, then the color sum),
-    the word side's counter index (the rank of the magnitudes at the slots,
-    then the row of the slots and pattern) and every count, which the group
-    order bounds.  Its two lookup tables, indexed by the color side's
-    base-(m+1) state and the word side's base-(n+1) code, stay below _TABLE
-    entries.
+    Its report key (one bit per colored value, then the color sum) fits in 62
+    bits, and its two lookup tables, indexed by the color side's base-(m+1)
+    state and the word side's base-(n+1) code, stay below _TABLE entries.  Its
+    other int64 values (the color side's cell, the word side's counter index
+    and every count, which the group order bounds) then stay below 2**62 too;
+    a test checks every group that passes.  The rule lives here, not in
+    _vectorized, so that a scan that falls back never loads numpy.
     """
     m, n = g.m, g.n
-    eps_width = n * (m - 1) + 1
-    # checked first, since it also keeps m and n, and so every size below, small
-    if m * n + eps_width.bit_length() > 62:
+    # checked first: it keeps m*n <= 61, and so both tables, small
+    if m * n + (n * (m - 1) + 1).bit_length() > 62:
         return False
-    patterns = 1 << (n - 1)
-    # the k-sets of the slots 1..n-2 with no two slots adjacent, k = 0..cap
-    sets = [math.comb(n - 1 - k, k) for k in range((n - 1) // 2 + 1)]
-    packed = (
-        patterns * eps_width * sum(count * m**k for k, count in enumerate(sets)),
-        sum(math.perm(n, k) * (count * patterns + 1) for k, count in enumerate(sets)),
-        g.order,
-    )
-    tables = ((m + 1) ** max(n - 2, 0) * max(n - 2, 1), (n + 1) ** (len(sets) - 1))
-    return max(packed) <= 1 << 62 and max(tables) <= _TABLE
-
-
-# an engine tallies witnesses by (sorted (color, magnitude) pairs of the
-# pinnacle set, color sum); partial tallies merge by Counter.update
-ENGINES = {"vectorized": _scan_vectorized, "reference": _scan_reference}
+    if (m + 1) ** max(n - 2, 0) * max(n - 2, 1) > _TABLE:
+        return False
+    return (n + 1) ** max_pinnacles(n) <= _TABLE
 
 
 def collect_pinnacle_sets(
@@ -234,21 +214,25 @@ def collect_pinnacle_sets(
     """Scan all of G(m,p,n) and report every pinnacle set it realizes.
 
     ``engine`` is "auto", "vectorized", or "reference".  Auto picks the numpy
-    scan unless its keys or tables would be too wide (huge m with tiny n, or
-    huge n), then falls back to the reference walk.  With ``parallel=True``
-    the partitions run in separate processes; reports are identical either
-    way.
+    scan where ``_fits`` holds and the reference walk elsewhere (huge m with
+    tiny n, or huge n).  Either engine tallies one partition's witnesses by
+    (sorted (color, magnitude) pairs of the pinnacle set, color sum), and the
+    tallies merge by Counter.update.  With ``parallel=True`` the partitions
+    run in separate processes; reports are identical either way.
     """
     budget = budget or OracleBudget()
     budget.check(g, _order_partials(g))
-    fits = _fits(g)
     if engine == "auto":
-        engine = "vectorized" if fits else "reference"
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
-    if engine == "vectorized" and not fits:
+        engine = "vectorized" if _fits(g) else "reference"
+    elif engine == "vectorized" and not _fits(g):
         raise ValueError(f"vectorized keys or tables too wide for {g}; use reference")
-    scan = functools.partial(ENGINES[engine], g.m, g.p, g.n)
+    if engine == "reference":
+        scan = _scan_reference
+    elif engine == "vectorized":
+        from ._vectorized import scan  # like numpy, loaded only when a scan uses it
+    else:
+        raise ValueError(f"unknown engine {engine!r}")
+    scan = functools.partial(scan, g.m, g.p, g.n)
     chunks = min(budget.partitions, g.n)  # round robin over the leftmost magnitude
     parts = [tuple(range(i + 1, g.n + 1, chunks)) for i in range(chunks)]
     if parallel and len(parts) > 1:

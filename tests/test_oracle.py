@@ -1,6 +1,10 @@
 """Exhaustive scans: engines, partitioning, budgets, and witness statistics."""
 
 import itertools
+import json
+import math
+import subprocess
+import sys
 
 import pytest
 
@@ -173,6 +177,25 @@ class TestReports:
                     assert is_admissible(P) == (P in admissible_sets)
 
 
+# reference definition: the vectorized engine's width rule with all six
+# checks; besides the report key and the two tables, it bounded the color
+# side's cell, the word side's counter index and every count (by the order)
+def six_check_fits(g):
+    m, n = g.m, g.n
+    eps_width = n * (m - 1) + 1
+    if m * n + eps_width.bit_length() > 62:
+        return False
+    patterns = 1 << (n - 1)
+    sets = [math.comb(n - 1 - k, k) for k in range((n - 1) // 2 + 1)]
+    packed = (
+        patterns * eps_width * sum(count * m**k for k, count in enumerate(sets)),
+        sum(math.perm(n, k) * (count * patterns + 1) for k, count in enumerate(sets)),
+        g.order,
+    )
+    tables = ((m + 1) ** max(n - 2, 0) * max(n - 2, 1), (n + 1) ** (len(sets) - 1))
+    return max(packed) <= 1 << 62 and max(tables) <= oracle._TABLE
+
+
 class TestEnginesAndPartitioning:
     GRIDS = [
         (1, 1, 4), (2, 1, 4), (2, 2, 4), (3, 1, 4), (2, 1, 5), (5, 1, 3), (4, 2, 4), (3, 3, 4),
@@ -242,7 +265,7 @@ class TestEnginesAndPartitioning:
         with pytest.raises(ValueError):
             collect_pinnacle_sets(g, engine="vectorized")
 
-    def test_fits_rule_at_its_boundaries(self):
+    def test_fits_rule_at_its_boundaries(self, monkeypatch):
         # the rule is arithmetic on (m, n), so nothing here scans: the report
         # key holds m*n bits and the color sum, and the word side's table of
         # base-(n+1) codes of the magnitudes at up to 7 slots outgrows _TABLE
@@ -254,6 +277,48 @@ class TestEnginesAndPartitioning:
         with pytest.raises(ValueError):
             collect_pinnacle_sets(GroupParams(1, 1, 15), OracleBudget(max_order=10**13),
                                   engine="vectorized")
+        # each check decides alone: the key at (19,1,3), the state table
+        # (m+1)**(n-2)*(n-2) at (3,1,14) and (4,1,13), 2.0e8 and 5.4e8 entries,
+        # and the code table (n+1)**max_pinnacles(n) at (1,1,15) and (2,1,16),
+        # 2.7e8 and 4.1e8; all four fit past a larger _TABLE, which the key
+        # check does not read
+        by_table = [GroupParams(*g) for g in ((3, 1, 14), (4, 1, 13), (1, 1, 15), (2, 1, 16))]
+        assert not any(map(fits, by_table))
+        monkeypatch.setattr(oracle, "_TABLE", 2**30)
+        assert all(map(fits, by_table))
+        assert not fits(GroupParams(19, 1, 3))
+
+    def test_fits_equals_the_six_check_rule(self):
+        # arithmetic only, no scan: past m*n = 61 the key check alone refuses,
+        # so this covers every group the vectorized engine scans
+        groups = [
+            GroupParams(m, p, n)
+            for m in range(1, 81)
+            for n in range(1, 80 // m + 1)
+            for p in range(1, m + 1)
+            if m % p == 0
+        ]
+        assert len(groups) == 1084
+        for g in groups:
+            assert oracle._fits(g) == six_check_fits(g), g
+
+    def test_only_vectorized_scans_load_numpy(self):
+        # a reference scan, and an auto scan that falls back, load neither
+        # numpy nor the vectorized engine; an auto scan that fits loads both
+        script = """
+import json, sys
+from pinnacles.oracle import collect_pinnacle_sets
+from pinnacles.wreath import GroupParams
+heavy = ("numpy", "pinnacles._vectorized")
+loaded = []
+for g, engine in (((2, 1, 4), "reference"), ((19, 1, 3), "auto"), ((2, 1, 4), "auto")):
+    collect_pinnacle_sets(GroupParams(*g), engine=engine)
+    loaded.append([mod for mod in heavy if mod in sys.modules])
+print(json.dumps(loaded))
+"""
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[], [], ["numpy", "pinnacles._vectorized"]]
 
     def test_unknown_engine(self):
         with pytest.raises(ValueError):
