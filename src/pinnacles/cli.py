@@ -122,9 +122,8 @@ def _budget_from(args) -> oracle.OracleBudget:
                 raise CliError(f"{BUDGET_ENV_VAR}={raw!r} is not an integer") from None
     if max_order is None:
         max_order = oracle.DEFAULT_MAX_ORDER
-    partitions = getattr(args, "partitions", None)
-    if partitions is None:  # a pool needs more than one partition to start
-        partitions = (os.cpu_count() or 1) if getattr(args, "parallel", False) else 1
+    # only a parallel scan splits, one partition per CPU
+    partitions = (os.cpu_count() or 1) if getattr(args, "parallel", False) else 1
     return oracle.OracleBudget(max_order=max_order, partitions=partitions)
 
 
@@ -354,11 +353,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(orc, p=True, budget="oracle group-order cap")
     orc.add_argument("--diff", action="store_true",
                      help="compare scan counts against the formulas")
-    orc.add_argument("--partitions", type=int, default=None,
-                     help="split the scan by leftmost magnitude (default: CPU "
-                          "count with --parallel, else 1)")
     orc.add_argument("--parallel", action="store_true",
-                     help="run partitions in separate processes")
+                     help="split the scan over one process per CPU")
     orc.set_defaults(handler=_cmd_oracle)
 
     shift = commands.add_parser("shift", help="apply the color-shift embedding")

@@ -19,9 +19,9 @@ counts multiply: one exact int64 matrix product per size of S sums them
 over D, and each set is keyed as a bitmap over the mn colored values.
 Single-threaded on a 2-core Xeon, G(1,1,10), with one coloring per word,
 scans at about 9 M elements/s, Z_2 wr S_8 at 360 M/s and Z_3 wr S_7 and
-G(4,4,7) at 550-660 M/s.  The scan is embarrassingly parallel over the
-leftmost word magnitude; partial tallies merge by summing counts, so
-reports are identical whatever the word-block size and partitioning.
+G(4,4,7) at 550-660 M/s.  Only a parallel scan splits the words, round
+robin over their leftmost magnitude; partial tallies merge by summing
+counts, so reports are identical whatever the block size and partitioning.
 
 The vectorized engine's code is the private module _vectorized, which is
 imported with numpy when a scan runs, and the process pool only for a
@@ -64,7 +64,10 @@ class BudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class OracleBudget:
-    """Work limits: the cap on a scan's group order or a count's slot tests, and scan width."""
+    """Work limits: the cap on a scan's group order or a count's slot tests, and scan width.
+
+    ``partitions`` splits only a parallel scan; a serial one, or 1 part, is one engine call.
+    """
 
     max_order: int = DEFAULT_MAX_ORDER
     partitions: int = 1
@@ -215,10 +218,12 @@ def collect_pinnacle_sets(
 
     ``engine`` is "auto", "vectorized", or "reference".  Auto picks the numpy
     scan where ``_fits`` holds and the reference walk elsewhere (huge m with
-    tiny n, or huge n).  Either engine tallies one partition's witnesses by
-    (sorted (color, magnitude) pairs of the pinnacle set, color sum), and the
-    tallies merge by Counter.update.  With ``parallel=True`` the partitions
-    run in separate processes; reports are identical either way.
+    tiny n, or huge n).  Either engine tallies the witnesses with leftmost
+    magnitude in ``firsts`` by (sorted (color, magnitude) pairs of the pinnacle
+    set, color sum).  A serial scan, or a parallel one under the default budget,
+    is one engine call; otherwise the leftmost magnitudes split round robin into
+    ``min(budget.partitions, n)`` parts, one process each (at most 8), whose
+    tallies merge by Counter.update.  Reports are identical either way.
     """
     budget = budget or OracleBudget()
     budget.check(g, _order_partials(g))
@@ -232,19 +237,17 @@ def collect_pinnacle_sets(
         from ._vectorized import scan  # like numpy, loaded only when a scan uses it
     else:
         raise ValueError(f"unknown engine {engine!r}")
-    scan = functools.partial(scan, g.m, g.p, g.n)
-    chunks = min(budget.partitions, g.n)  # round robin over the leftmost magnitude
-    parts = [tuple(range(i + 1, g.n + 1, chunks)) for i in range(chunks)]
-    if parallel and len(parts) > 1:
+    chunks = min(budget.partitions, g.n)
+    if parallel and chunks > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(len(parts), 8)) as pool:
-            partials = list(pool.map(scan, parts))
+        parts = [tuple(range(i + 1, g.n + 1, chunks)) for i in range(chunks)]
+        tally = Counter()
+        with ProcessPoolExecutor(max_workers=min(chunks, 8)) as pool:
+            for part in pool.map(functools.partial(scan, g.m, g.p, g.n), parts):
+                tally.update(part)
     else:
-        partials = [scan(firsts) for firsts in parts]
-    tally = partials[0]
-    for part in partials[1:]:
-        tally.update(part)
+        tally = scan(g.m, g.p, g.n, tuple(range(1, g.n + 1)))
     scanned = sum(tally.values())
     if scanned != g.order:
         raise RuntimeError(f"scanned {scanned} elements of {g}, expected {g.order}")

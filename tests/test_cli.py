@@ -331,8 +331,14 @@ class TestOracleCommand:
     def test_parallel_flag(self, capsys):
         argv = ["oracle", "--m", "2", "--n", "4", "--format", "csv"]
         _, serial, _ = capture(capsys, argv)
-        _, parallel, _ = capture(capsys, argv + ["--partitions", "4", "--parallel"])
+        _, parallel, _ = capture(capsys, argv + ["--parallel"])
         assert serial == parallel
+
+    def test_partitions_option_is_gone(self, capsys):
+        # the part count of a parallel scan comes from the CPU count alone
+        code, out, err = capture(capsys, ["oracle", "--m", "2", "--n", "4", "--partitions", "4"])
+        assert code == EXIT_USAGE and out == ""
+        assert err == "error: unrecognized arguments: --partitions 4\n"
 
     def test_parallel_alone_partitions_by_cpu_count(self, capsys, monkeypatch):
         partitions = []
@@ -547,7 +553,7 @@ SUBCOMMANDS = {
     "pinnacles": ({"--m": NUMBER, "--n": NUMBER, "--perm": PERM}, {"--p": NUMBER}),
     "table": ({"--m": RANGE, "--n": RANGE}, {}),
     "oracle": ({"--m": NUMBER, "--n": NUMBER},
-               {"--p": NUMBER, "--budget": NUMBER, "--partitions": NUMBER, "--diff": None}),
+               {"--p": NUMBER, "--budget": NUMBER, "--diff": None}),
     "shift": ({"--m": NUMBER, "--n": NUMBER, "--k": NUMBER}, {"--set": SET, "--perm": PERM}),
 }
 

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -27,6 +28,14 @@ from pinnacles.wreath import (
 )
 
 CV = ColoredValue
+
+
+def _merged(scan, g, parts):
+    # an engine's tallies over round-robin parts of the leftmost magnitudes, as a pool sums them
+    tally = Counter()
+    for i in range(parts):
+        tally.update(scan(g.m, g.p, g.n, tuple(range(i + 1, g.n + 1, parts))))
+    return tally
 
 
 class TestEnumeration:
@@ -225,35 +234,63 @@ class TestEnginesAndPartitioning:
             assert list(vectorized.stats) == list(reference.stats)
 
     def test_partition_invariance(self):
-        g = GroupParams(3, 1, 4)
-        one = collect_pinnacle_sets(g, OracleBudget(partitions=1))
-        four = collect_pinnacle_sets(g, OracleBudget(partitions=4))
-        many = collect_pinnacle_sets(g, OracleBudget(partitions=11))
-        assert one == four == many
+        # a parallel scan sums engine calls on round-robin parts of the leftmost
+        # magnitudes; each engine's merged tally must equal its one-call tally
+        for g in (GroupParams(3, 1, 4), GroupParams(2, 2, 5)):
+            for scan in (oracle._scan_reference, _vectorized.scan):
+                whole = scan(g.m, g.p, g.n, tuple(range(1, g.n + 1)))
+                for parts in (1, 4, g.n):
+                    assert _merged(scan, g, parts) == whole, (g, scan, parts)
 
     def test_block_boundaries_do_not_change_reports(self, monkeypatch):
         # the vectorized engine counts words in blocks of at most _WORDS;
         # blocks of one word, and blocks of seven words, which split the 24
         # words of each leftmost magnitude unevenly, must give the reports of
         # the default block size, and so must words cut into a head of two
-        # magnitudes and a table of the permutations of the last _TAIL = 3
+        # magnitudes and a table of the permutations of the last _TAIL = 3.
+        # A head with only some leftmost magnitudes runs only inside a pool,
+        # so the engine is also called here on round-robin parts directly
         for g in (GroupParams(2, 1, 5), GroupParams(3, 3, 5)):
-            for parts in (1, 4):
-                budget = OracleBudget(partitions=parts)
-                expected = collect_pinnacle_sets(g, budget)
-                for patch in ({"_WORDS": 1}, {"_WORDS": 7}, {"_WORDS": 7, "_TAIL": 3}):
-                    for name, value in patch.items():
-                        monkeypatch.setattr(_vectorized, name, value)
-                    got = collect_pinnacle_sets(g, budget)
-                    assert got == expected, (g, parts, patch)
-                    assert list(got.stats) == list(expected.stats)
-                    monkeypatch.undo()
+            expected = collect_pinnacle_sets(g)
+            whole = _vectorized.scan(g.m, g.p, g.n, tuple(range(1, g.n + 1)))
+            for patch in ({"_WORDS": 1}, {"_WORDS": 7}, {"_WORDS": 7, "_TAIL": 3}):
+                for name, value in patch.items():
+                    monkeypatch.setattr(_vectorized, name, value)
+                got = collect_pinnacle_sets(g)
+                assert got == expected, (g, patch)
+                assert list(got.stats) == list(expected.stats)
+                for parts in (1, 4, g.n):
+                    assert _merged(_vectorized.scan, g, parts) == whole, (g, patch, parts)
+                monkeypatch.undo()
+
+    def test_serial_scan_is_one_engine_call(self, monkeypatch):
+        g = GroupParams(2, 1, 5)
+        expected = collect_pinnacle_sets(g)
+        calls = []
+        scan = _vectorized.scan
+
+        def recording(m, p, n, firsts):
+            calls.append(firsts)
+            return scan(m, p, n, firsts)
+
+        monkeypatch.setattr(_vectorized, "scan", recording)
+        # partitions split only a parallel scan
+        assert collect_pinnacle_sets(g, OracleBudget(partitions=4)) == expected
+        assert calls == [(1, 2, 3, 4, 5)]
 
     def test_parallel_matches_serial(self):
-        g = GroupParams(2, 1, 5)
-        serial = collect_pinnacle_sets(g)
-        parallel = collect_pinnacle_sets(g, OracleBudget(partitions=5), parallel=True)
-        assert serial == parallel
+        # both engines in a pool: the reference engine forced, and as the
+        # fallback that auto picks where the vectorized keys are too wide
+        for g, engine, parts in (
+            (GroupParams(2, 1, 5), "auto", 5),
+            (GroupParams(3, 1, 4), "reference", 3),
+            (GroupParams(19, 1, 3), "auto", 3),
+        ):
+            serial = collect_pinnacle_sets(g, engine=engine)
+            budget = OracleBudget(partitions=parts)
+            parallel = collect_pinnacle_sets(g, budget, engine=engine, parallel=True)
+            assert parallel == serial, (g, engine)
+            assert list(parallel.stats) == list(serial.stats)
 
     def test_huge_modulus_falls_back_to_reference(self):
         g = GroupParams(25, 1, 3)  # bitmap keys would overflow; auto must cope
