@@ -11,7 +11,6 @@ from .admissible import (
     MultiplicityViolation,
     admissibility,
     canonical_witness,
-    colored_admissible_degree,
     is_admissible,
     is_admissible_rec,
     is_admissible_top,
@@ -74,7 +73,6 @@ __all__ = [
     "canonical_witness",
     "collect_pinnacle_sets",
     "color_sum",
-    "colored_admissible_degree",
     "count_closed_alternating",
     "count_closed_positive",
     "count_complex",

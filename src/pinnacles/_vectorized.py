@@ -61,7 +61,11 @@ def _word_blocks(n: int, firsts: tuple[int, ...]) -> Iterator:
 
 
 def scan(m: int, p: int, n: int, firsts: tuple[int, ...]) -> Counter:
-    """Tally G(m,p,n) restricted to the given leftmost magnitudes, as an oracle engine does."""
+    """Tally G(m,p,n) restricted to the given leftmost magnitudes, as an oracle engine does.
+
+    The tally counts elements by (bitmap, color sum), where bit c*n + x - 1 of
+    the bitmap marks xi^c(x) in the pinnacle set.
+    """
     power = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
     colors = (np.arange(m**n, dtype=np.int64)[:, None] // power) % m
     eps = colors.sum(axis=1)
@@ -190,18 +194,5 @@ def scan(m: int, p: int, n: int, firsts: tuple[int, ...]) -> Counter:
     keys = keys[by_key]
     first = np.concatenate([[True], keys[1:] != keys[:-1]]).nonzero()[0]
     totals = np.add.reduceat(counts[by_key], first)
-
-    tally: Counter = Counter()
-    last = None
-    for combined_key, count in zip(keys[first].tolist(), totals.tolist()):
-        bits, eps_value = divmod(combined_key, eps_width)
-        if bits != last:  # keys come by set, then by color sum
-            last, pairs = bits, []
-            while bits:
-                low = bits & -bits
-                color, mag = divmod(low.bit_length() - 1, n)
-                pairs.append((color, mag + 1))
-                bits ^= low
-            pairs = tuple(pairs)
-        tally[pairs, eps_value] = count
-    return tally
+    bits, eps_value = np.divmod(keys[first], eps_width)
+    return Counter(dict(zip(zip(bits.tolist(), eps_value.tolist()), totals.tolist())))

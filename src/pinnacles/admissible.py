@@ -132,18 +132,3 @@ def is_admissible_top(P: PinSet) -> bool:
     rank = {x: i for i, x in enumerate(alive, start=1)}
     packed = tuple(ColoredValue(top, rank[cv.magnitude]) for cv in P.elements if cv.color == top)
     return is_admissible(PinSet(P.m, len(alive), packed))
-
-
-def colored_admissible_degree(P: PinSet) -> int:
-    """Smallest-construction degree N = 2L+1 admitting a one-colored set.
-
-    L is the largest magnitude in P, so all of P fits below the midpoint and
-    the canonical witness ``canonical_witness(PinSet(P.m, N, P.elements))``,
-    laid out in the order ``wreath.value_key(P.m)``, interleaves it in Z_m wr S_N.
-    """
-    if not P.elements:
-        raise ValueError("empty set has no colored degree")
-    colors = {cv.color for cv in P.elements}
-    if len(colors) != 1:
-        raise ValueError(f"set uses colors {sorted(colors)}; expected exactly one")
-    return 2 * max(P.magnitude_set()) + 1

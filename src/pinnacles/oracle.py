@@ -124,8 +124,9 @@ class PinStats:
 class OracleReport:
     """Everything the scan learned about G(m,p,n).
 
-    ``stats`` is in print order: by cardinality, then by the (color, magnitude)
-    pairs of the elements, which PinSet keeps ascending under ``wreath.value_key``.
+    ``stats`` is in print order: by cardinality, then by the bitmap, the sum of
+    2**(c*n + x - 1) over the elements xi^c(x), so the element with the largest
+    c*n + x decides first.  The order does not read ``wreath.value_key``.
     """
 
     params: GroupParams
@@ -181,11 +182,21 @@ def witnesses_of(
 
 def _scan_reference(m: int, p: int, n: int, firsts: tuple[int, ...]) -> Counter:
     # drives the normative GenPerm/pinnacle_set path; slow but definitionally
-    # correct, used for small grids, cross-checks, and as the fallback engine
+    # correct, used for small grids, cross-checks, and as the fallback engine.
+    # Keys are the vectorized engine's: (bitmap, color sum), bit c*n + x - 1 for xi^c(x)
     return Counter(
-        (tuple(sorted((cv.color, cv.magnitude) for cv in pinnacle_set(w).elements)), color_sum(w))
+        (sum(1 << cv.color * n + cv.magnitude - 1 for cv in pinnacle_set(w)), color_sum(w))
         for w in _elements(m, p, n, firsts)
     )
+
+
+def _values(bits: int, n: int) -> Iterator[ColoredValue]:
+    # the colored values a report bitmap marks
+    while bits:
+        low = bits & -bits
+        color, magnitude = divmod(low.bit_length() - 1, n)
+        yield ColoredValue(color, magnitude + 1)
+        bits ^= low
 
 
 def _fits(g: GroupParams) -> bool:
@@ -219,11 +230,13 @@ def collect_pinnacle_sets(
     ``engine`` is "auto", "vectorized", or "reference".  Auto picks the numpy
     scan where ``_fits`` holds and the reference walk elsewhere (huge m with
     tiny n, or huge n).  Either engine tallies the witnesses with leftmost
-    magnitude in ``firsts`` by (sorted (color, magnitude) pairs of the pinnacle
-    set, color sum).  A serial scan, or a parallel one under the default budget,
-    is one engine call; otherwise the leftmost magnitudes split round robin into
-    ``min(budget.partitions, n)`` parts, one process each (at most 8), whose
-    tallies merge by Counter.update.  Reports are identical either way.
+    magnitude in ``firsts`` by (bitmap of the pinnacle set, color sum), bit
+    c*n + x - 1 marking xi^c(x).  A serial scan, or a parallel one under the
+    default budget, is one engine call; otherwise the leftmost magnitudes split
+    round robin into ``min(budget.partitions, n)`` parts, one process each (at
+    most 8), whose tallies merge by Counter.update.  Reports are identical
+    either way.  Sorting the tally by (cardinality, bitmap, color sum) puts the
+    sets in print order and each histogram in color-sum order.
     """
     budget = budget or OracleBudget()
     budget.check(g, _order_partials(g))
@@ -251,12 +264,9 @@ def collect_pinnacle_sets(
     scanned = sum(tally.values())
     if scanned != g.order:
         raise RuntimeError(f"scanned {scanned} elements of {g}, expected {g.order}")
-    by_set: dict[tuple, dict[int, int]] = {}
-    for (key, eps), count in tally.items():
-        by_set.setdefault(key, {})[eps] = count
-    values = {(c, x): ColoredValue(c, x) for c in range(g.m) for x in range(1, g.n + 1)}
-    sets = [(PinSet(g.m, g.n, tuple(map(values.__getitem__, key))), hist)
-            for key, hist in by_set.items()]
-    sets.sort(key=lambda e: (len(e[0]), [cv.color * g.n + cv.magnitude for cv in e[0].elements]))
-    stats = {P: PinStats(sum(hist.values()), tuple(sorted(hist.items()))) for P, hist in sets}
+    stats = {}
+    ordered = sorted(tally.items(), key=lambda e: (e[0][0].bit_count(), e[0]))
+    for bits, group in itertools.groupby(ordered, key=lambda e: e[0][0]):
+        hist = tuple((eps, count) for (_, eps), count in group)
+        stats[PinSet(g.m, g.n, _values(bits, g.n))] = PinStats(sum(c for _, c in hist), hist)
     return OracleReport(params=g, stats=stats, scanned=scanned)

@@ -12,7 +12,6 @@ from pinnacles.admissible import (
     MultiplicityViolation,
     admissibility,
     canonical_witness,
-    colored_admissible_degree,
     is_admissible,
     is_admissible_rec,
     is_admissible_top,
@@ -195,30 +194,19 @@ class TestDeciderAgreement:
 
 class TestSingleColorSets:
     def test_degree_from_largest_magnitude(self):
-        assert colored_admissible_degree(PinSet(4, 6, ((2, 6), (2, 2), (2, 3)))) == 13
         target = PinSet(4, 13, ((2, 6), (2, 2), (2, 3)))
         witness = canonical_witness(target)
         assert pinnacle_set(witness) == target
         fills = [v for v in witness.word if v not in target.elements]
         assert all(v.color == 3 for v in fills)
 
-    def test_singleton(self):
-        assert colored_admissible_degree(PinSet(3, 1, ((0, 1),))) == 3
-
-    def test_multicolor_rejected(self):
-        with pytest.raises(ValueError):
-            colored_admissible_degree(PinSet(3, 5, ((0, 1), (1, 2))))
-        with pytest.raises(ValueError):
-            colored_admissible_degree(PinSet(3, 5))
-
     @given(st.data())
     def test_returned_degree_admits_the_set(self, data):
         m = data.draw(st.integers(1, 5))
         mags = data.draw(st.lists(st.integers(1, 8), unique=True, min_size=1, max_size=4))
         color = data.draw(st.integers(0, m - 1))
-        P = PinSet(m, max(mags), tuple((color, x) for x in mags))
-        degree = colored_admissible_degree(P)
-        embedded = PinSet(m, degree, P.elements)
+        # every magnitude fits below the midpoint of degree 2L+1, L the largest
+        embedded = PinSet(m, 2 * max(mags) + 1, tuple((color, x) for x in mags))
         assert is_admissible(embedded)
         assert pinnacle_set(canonical_witness(embedded)) == embedded
 

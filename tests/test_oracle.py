@@ -233,6 +233,22 @@ class TestEnginesAndPartitioning:
             assert vectorized == reference, (m, p, n)
             assert list(vectorized.stats) == list(reference.stats)
 
+    def test_listing_order_does_not_read_value_key(self, monkeypatch):
+        # sets are listed by cardinality, then by the bitmap of bits c*n + x - 1,
+        # whatever the value order; under top-asc a listing read in the value
+        # order differs from that on these groups
+        def top_asc(m):
+            return lambda cv: (-cv.color, cv.magnitude if cv.color == m - 1 else -cv.magnitude)
+
+        def size_and_bitmap(P):
+            return len(P), sum(1 << cv.color * P.n + cv.magnitude - 1 for cv in P)
+
+        monkeypatch.setattr(wreath, "value_key", top_asc)
+        for m, p, n in [(2, 1, 5), (2, 2, 6)]:
+            for engine in ("reference", "vectorized"):
+                listed = list(collect_pinnacle_sets(GroupParams(m, p, n), engine=engine).stats)
+                assert listed == sorted(listed, key=size_and_bitmap), (m, p, n, engine)
+
     def test_partition_invariance(self):
         # a parallel scan sums engine calls on round-robin parts of the leftmost
         # magnitudes; each engine's merged tally must equal its one-call tally
