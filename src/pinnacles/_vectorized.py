@@ -64,15 +64,15 @@ def scan(m: int, p: int, n: int, firsts: tuple[int, ...]) -> Counter:
     """Tally G(m,p,n) restricted to the given leftmost magnitudes, as an oracle engine does.
 
     The tally counts elements by (bitmap, color sum), where bit c*n + x - 1 of
-    the bitmap marks xi^c(x) in the pinnacle set.
+    the bitmap marks xi^c(x) in the pinnacle set.  Like the reference walk, it
+    builds only the colorings of G(m,p,n), and in the walk's order.
     """
+    # every p-th odometer coloring, its last color raised to bring the sum to a multiple of p
     power = m ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    colors = (np.arange(m**n, dtype=np.int64)[:, None] // power) % m
-    eps = colors.sum(axis=1)
-    if p > 1:
-        keep = eps % p == 0
-        colors, eps = colors[keep], eps[keep]
-    rows = len(colors)
+    colors = (np.arange(0, m**n, p, dtype=np.int64)[:, None] // power) % m
+    head = colors[:, :-1].sum(axis=1)
+    colors[:, -1] += -head % p
+    eps = head + colors[:, -1]
     eps_width = n * (m - 1) + 1
     patterns = 1 << (n - 1)  # descent patterns: bit t is set where the word falls from t to t+1
     # below[a, :, t]: slot t sits strictly below slot t+1 under descent bit a
@@ -93,14 +93,14 @@ def scan(m: int, p: int, n: int, firsts: tuple[int, ...]) -> Counter:
     # slot t is a pinnacle.  Row D of `state` holds that number for every
     # coloring under pattern D; it grows one descent bit at a time, rows
     # 2**t..2**(t+1)-1 taking the patterns with bit t set.
-    state = np.zeros((patterns, rows), dtype=np.int64)
+    state = np.zeros((patterns, len(colors)), dtype=np.int64)
     # grow[a, b, :, t-1]: what slot t adds under descent bits a, b around it
     grow = np.where(below[:, None, :, :-1] & ~below[None, :, :, 1:],
                     (colors[:, 1:-1] + 1) * (m + 1) ** np.arange(n - 2), 0)
     for t in range(1, n - 1):
         # axes: bit t, bit t-1, the lower bits; the rows of bit t = 0 are
         # extended in place, so after the rows of bit t = 1 are made from them
-        view = state[:4 << (t - 1)].reshape(2, 2, -1, rows)
+        view = state[:4 << (t - 1)].reshape(2, 2, -1, len(colors))
         np.add(view[0], grow[:, 1, None, :, t - 1], out=view[1])
         view[0] += grow[:, 0, None, :, t - 1]
     # Cells: ordered by size, each pinnacle slot set S (no two slots adjacent)

@@ -232,7 +232,8 @@ def _cmd_table(args) -> None:
     }
     csv = ["m,n,count"] + [f"{m},{n},{v}" for m, n, v in cells]
     grid = [["m\\n", *map(str, ns)]]
-    grid += [[f"m={m}", *(v for mm, _, v in cells if mm == m)] for m in ms]
+    grid += [[f"m={m}", *(v for _, _, v in cells[i:i + len(ns)])]
+             for m, i in zip(ms, range(0, len(cells), len(ns)))]
     width = max(len(entry) for row in grid for entry in row)
     text = [" ".join(f"{entry:>{width}}" for entry in row) for row in grid]
     _emit(args, doc, "\n".join(text) + "\n", "\n".join(csv) + "\n")
@@ -381,6 +382,8 @@ def run(argv: list[str]) -> int:
         error, code = exc, EXIT_BUDGET
     except (CliError, ValueError) as exc:
         error, code = exc, EXIT_USAGE
+    except ModuleNotFoundError as exc:  # numpy, which only the vectorized engine imports
+        error, code = f"{exc.name} is needed for this scan but cannot be imported", EXIT_USAGE
     print(f"error: {error}", file=sys.stderr)
     return code
 

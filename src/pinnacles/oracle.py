@@ -227,29 +227,25 @@ def collect_pinnacle_sets(
 ) -> OracleReport:
     """Scan all of G(m,p,n) and report every pinnacle set it realizes.
 
-    ``engine`` is "auto", "vectorized", or "reference".  Auto picks the numpy
-    scan where ``_fits`` holds and the reference walk elsewhere (huge m with
-    tiny n, or huge n).  Either engine tallies the witnesses with leftmost
-    magnitude in ``firsts`` by (bitmap of the pinnacle set, color sum), bit
-    c*n + x - 1 marking xi^c(x).  A serial scan, or a parallel one under the
-    default budget, is one engine call; otherwise the leftmost magnitudes split
-    round robin into ``min(budget.partitions, n)`` parts, one process each (at
-    most 8), whose tallies merge by Counter.update.  Reports are identical
-    either way.  Sorting the tally by (cardinality, bitmap, color sum) puts the
-    sets in print order and each histogram in color-sum order.
+    ``engine`` is "auto" or "reference".  Auto picks the vectorized engine
+    where ``_fits`` holds and the reference walk elsewhere (huge m with tiny
+    n, or huge n).  Each engine builds only the members of G(m,p,n) and tallies
+    those with leftmost magnitude in ``firsts`` by (bitmap of the pinnacle
+    set, color sum), bit c*n + x - 1 marking xi^c(x).  A serial scan, or a
+    parallel one under the default budget, is one engine call; otherwise the
+    leftmost magnitudes split round robin into ``min(budget.partitions, n)``
+    parts, one process each (at most 8), whose tallies merge by
+    Counter.update.  Reports are identical either way.  Sorting the tally by
+    (cardinality, bitmap, color sum) puts the sets in print order and each
+    histogram in color-sum order.
     """
     budget = budget or OracleBudget()
     budget.check(g, _order_partials(g))
-    if engine == "auto":
-        engine = "vectorized" if _fits(g) else "reference"
-    elif engine == "vectorized" and not _fits(g):
-        raise ValueError(f"vectorized keys or tables too wide for {g}; use reference")
-    if engine == "reference":
-        scan = _scan_reference
-    elif engine == "vectorized":
-        from ._vectorized import scan  # like numpy, loaded only when a scan uses it
-    else:
+    if engine not in ("auto", "reference"):
         raise ValueError(f"unknown engine {engine!r}")
+    scan = _scan_reference
+    if engine == "auto" and _fits(g):
+        from ._vectorized import scan  # like numpy, loaded only when a scan uses it
     chunks = min(budget.partitions, g.n)
     if parallel and chunks > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -23,7 +23,7 @@ import itertools
 import random
 import time
 
-from pinnacles import counting, wreath
+from pinnacles import counting, oracle, wreath
 from pinnacles.admissible import (
     canonical_witness,
     is_admissible,
@@ -266,8 +266,10 @@ def test_candidate_order_status(capsys, monkeypatch):
     lines = []
 
     @functools.lru_cache(maxsize=None)
-    def scan(m, p, n, engine="vectorized"):
-        return collect_pinnacle_sets(GroupParams(m, p, n), engine=engine)
+    def scan(m, p, n, engine="auto"):
+        g = GroupParams(m, p, n)
+        assert engine == "reference" or oracle._fits(g), g  # auto runs the vectorized engine
+        return collect_pinnacle_sets(g, engine=engine)
 
     for name, ascends in CANDIDATE_ORDERS.items():
         monkeypatch.setattr(wreath, "value_key", _candidate_key(ascends))

@@ -530,6 +530,49 @@ print(json.dumps(loaded))
             "oracle": [EXIT_OK, ["numpy"]],
         }
 
+    def test_missing_numpy_is_one_error_line(self, capsys):
+        # only the vectorized engine imports numpy: without it, a scan that
+        # auto sends there is one error line at exit 1, and walk scans and
+        # every other command run as before
+        import subprocess
+        import sys
+
+        script = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None  # as if numpy were not installed
+from pinnacles import cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
+"""
+        scans = [
+            ["oracle", "--m", "2", "--n", "4"],
+            ["oracle", "--m", "2", "--n", "4", "--parallel"],
+            ["oracle", "--m", "6", "--p", "3", "--n", "3", "--diff", "--format", "json"],
+        ]
+        others = [
+            ["oracle", "--m", "19", "--n", "3"],
+            ["count", "--m", "3", "--n", "10"],
+            ["count", "--m", "4", "--p", "2", "--n", "7"],
+            ["check", "--m", "3", "--n", "10", "--set", "1:3,0:5,0:2"],
+            ["witness", "--m", "3", "--n", "10", "--set", "1:3"],
+            ["pinnacles", "--m", "2", "--n", "3", "--perm", "0:1 0:3 0:2"],
+            ["table", "--m", "1..3", "--n", "3..5", "--format", "csv"],
+            ["shift", "--m", "2", "--n", "3", "--k", "1", "--set", "0:1"],
+        ]
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(scans + others)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        runs = json.loads(proc.stdout)
+        line = "error: numpy is needed for this scan but cannot be imported\n"
+        assert runs[:len(scans)] == [[EXIT_USAGE, "", line]] * len(scans)
+        for argv, got in zip(others, runs[len(scans):]):
+            assert got == list(capture(capsys, argv)), argv
+
 
 # a bounded grammar over every subcommand: numbers in -2..7 (half of them from
 # 1..7, so that many argvs get as far as the output), malformed tokens, bad

@@ -208,15 +208,19 @@ def six_check_fits(g):
 class TestEnginesAndPartitioning:
     GRIDS = [
         (1, 1, 4), (2, 1, 4), (2, 2, 4), (3, 1, 4), (2, 1, 5), (5, 1, 3), (4, 2, 4), (3, 3, 4),
-        # one word, one coloring per word, p > 1 filtering, and words in several blocks
+        # one word, one coloring per word, p > 1, and words in several blocks
         (1, 1, 1), (1, 1, 2), (2, 1, 2), (1, 1, 6), (2, 2, 6), (3, 3, 5), (2, 1, 6), (1, 1, 7),
+        # p = 2, 3, 4 with m/p >= 2: the last color takes m/p values, every p-th
+        # from the one that completes the color sum
+        (6, 3, 4), (9, 3, 3), (8, 4, 3), (6, 2, 3),
     ]
 
     def test_reference_and_vectorized_agree(self):
         for m, p, n in self.GRIDS:
             g = GroupParams(m, p, n)
+            assert oracle._fits(g), g  # so auto runs the vectorized engine
             assert collect_pinnacle_sets(g, engine="reference") == collect_pinnacle_sets(
-                g, engine="vectorized"
+                g, engine="auto"
             ), (m, p, n)
 
     def test_engines_read_the_order_only_through_value_key(self, monkeypatch):
@@ -228,8 +232,9 @@ class TestEnginesAndPartitioning:
         monkeypatch.setattr(wreath, "value_key", top_asc)
         for m, p, n in [(2, 2, 6), (3, 1, 5), (3, 3, 5)]:
             g = GroupParams(m, p, n)
+            assert oracle._fits(g), g
             reference = collect_pinnacle_sets(g, engine="reference")
-            vectorized = collect_pinnacle_sets(g, engine="vectorized")
+            vectorized = collect_pinnacle_sets(g, engine="auto")
             assert vectorized == reference, (m, p, n)
             assert list(vectorized.stats) == list(reference.stats)
 
@@ -245,7 +250,8 @@ class TestEnginesAndPartitioning:
 
         monkeypatch.setattr(wreath, "value_key", top_asc)
         for m, p, n in [(2, 1, 5), (2, 2, 6)]:
-            for engine in ("reference", "vectorized"):
+            assert oracle._fits(GroupParams(m, p, n))  # auto is the vectorized engine
+            for engine in ("reference", "auto"):
                 listed = list(collect_pinnacle_sets(GroupParams(m, p, n), engine=engine).stats)
                 assert listed == sorted(listed, key=size_and_bitmap), (m, p, n, engine)
 
@@ -315,7 +321,9 @@ class TestEnginesAndPartitioning:
         from pinnacles.counting import count_pinnacle_sets
 
         assert rep.total_admissible == count_pinnacle_sets(25, 3)
-        with pytest.raises(ValueError):
+        assert not oracle._fits(g)
+        # auto is the only way into the vectorized engine
+        with pytest.raises(ValueError, match="unknown engine 'vectorized'"):
             collect_pinnacle_sets(g, engine="vectorized")
 
     def test_fits_rule_at_its_boundaries(self, monkeypatch):
@@ -327,7 +335,7 @@ class TestEnginesAndPartitioning:
         assert fits(GroupParams(1, 1, 14)) and not fits(GroupParams(1, 1, 15))
         assert not fits(GroupParams(1, 1, 33))
         assert not fits(GroupParams(10**9, 1, 10**6))  # decided without the order or 2**(m*n)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown engine 'vectorized'"):
             collect_pinnacle_sets(GroupParams(1, 1, 15), OracleBudget(max_order=10**13),
                                   engine="vectorized")
         # each check decides alone: the key at (19,1,3), the state table
