@@ -18,8 +18,8 @@ A pinnacle set pairs the colors at S with the magnitudes at S, so the two
 counts multiply: one exact int64 matrix product per size of S sums them
 over D, and each set is keyed as a bitmap over the mn colored values.
 Single-threaded on a 2-core Xeon, G(1,1,10), with one coloring per word,
-scans at about 9 M elements/s, Z_2 wr S_8 at 360 M/s and Z_3 wr S_7 and
-G(4,4,7) at 550-660 M/s.  Only a parallel scan splits the words, round
+scans at about 9 M elements/s, Z_2 wr S_8 at 300 M/s and Z_3 wr S_7 and
+G(4,4,7) at 690-1,150 M/s.  Only a parallel scan splits the words, round
 robin over their leftmost magnitude; partial tallies merge by summing
 counts, so reports are identical whatever the block size and partitioning.
 
@@ -190,12 +190,11 @@ def _scan_reference(m: int, p: int, n: int, firsts: tuple[int, ...]) -> Counter:
     )
 
 
-def _values(bits: int, n: int) -> Iterator[ColoredValue]:
-    # the colored values a report bitmap marks
+def _values(bits: int, values: list[ColoredValue]) -> Iterator[ColoredValue]:
+    # the colored values a report bitmap marks, values[i] for bit i
     while bits:
         low = bits & -bits
-        color, magnitude = divmod(low.bit_length() - 1, n)
-        yield ColoredValue(color, magnitude + 1)
+        yield values[low.bit_length() - 1]
         bits ^= low
 
 
@@ -235,9 +234,10 @@ def collect_pinnacle_sets(
     parallel one under the default budget, is one engine call; otherwise the
     leftmost magnitudes split round robin into ``min(budget.partitions, n)``
     parts, one process each (at most 8), whose tallies merge by
-    Counter.update.  Reports are identical either way.  Sorting the tally by
-    (cardinality, bitmap, color sum) puts the sets in print order and each
-    histogram in color-sum order.
+    Counter.update.  Reports are identical either way.  The tally is grouped
+    by bitmap; the bitmaps sorted by (cardinality, bitmap) are the print order,
+    each histogram is sorted by color sum, and each set is read off one shared
+    ColoredValue per bit, made only up to the highest bit any bitmap sets.
     """
     budget = budget or OracleBudget()
     budget.check(g, _order_partials(g))
@@ -260,9 +260,13 @@ def collect_pinnacle_sets(
     scanned = sum(tally.values())
     if scanned != g.order:
         raise RuntimeError(f"scanned {scanned} elements of {g}, expected {g.order}")
+    hists: dict[int, list[tuple[int, int]]] = {}
+    for (bits, eps), count in tally.items():
+        hists.setdefault(bits, []).append((eps, count))
+    # one shared value per bit, up to the highest bit any set marks
+    values = [ColoredValue(i // g.n, i % g.n + 1) for i in range(max(hists).bit_length())]
     stats = {}
-    ordered = sorted(tally.items(), key=lambda e: (e[0][0].bit_count(), e[0]))
-    for bits, group in itertools.groupby(ordered, key=lambda e: e[0][0]):
-        hist = tuple((eps, count) for (_, eps), count in group)
-        stats[PinSet(g.m, g.n, _values(bits, g.n))] = PinStats(sum(c for _, c in hist), hist)
+    for bits in sorted(hists, key=lambda b: (b.bit_count(), b)):
+        hist = tuple(sorted(hists[bits]))
+        stats[PinSet(g.m, g.n, _values(bits, values))] = PinStats(sum(c for _, c in hist), hist)
     return OracleReport(params=g, stats=stats, scanned=scanned)

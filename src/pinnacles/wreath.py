@@ -14,7 +14,10 @@ and within one color larger magnitudes lower:
 so the plain integers sit on top, reversed.  A pinnacle of w is a value
 strictly above both word neighbors under this order.  Values themselves are
 unordered: every comparison goes through the key of the modulus at hand, so
-an order that depends on m needs no change outside ``value_key``.
+an order that depends on m needs no change outside ``value_key``; slots do
+not give ColoredValue one.  GenPerm and PinSet check their values in one pass
+with ``check_value``'s comparisons inline, and call it only on the first value
+that fails, so a rejection names that value.
 
 All types are immutable values and all operations are pure, so everything
 here is safe to share across threads.
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColoredValue:
     """A symbolic xi^color(magnitude); compare values by ``value_key(m)``."""
 
@@ -60,8 +63,7 @@ def check_value(cv: ColoredValue, m: int, n: int) -> None:
 
 
 def _coerce_value(value) -> ColoredValue:
-    if isinstance(value, ColoredValue):
-        return value
+    # a plain (color, magnitude) pair; callers pass ColoredValues through unchanged
     color, magnitude = value
     return ColoredValue(int(color), int(magnitude))
 
@@ -78,19 +80,21 @@ class GenPerm:
     image: tuple[ColoredValue, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "image", tuple(_coerce_value(v) for v in self.image))
-        if self.m < 1:
-            raise ValueError(f"modulus must be positive, got {self.m}")
-        n = len(self.image)
+        image = tuple([v if isinstance(v, ColoredValue) else _coerce_value(v) for v in self.image])
+        object.__setattr__(self, "image", image)
+        m, n = self.m, len(image)
+        if m < 1:
+            raise ValueError(f"modulus must be positive, got {m}")
         if n < 1:
             raise ValueError("degree must be positive")
         seen = 0
-        for cv in self.image:
-            check_value(cv, self.m, n)
-            bit = 1 << cv.magnitude
-            if seen & bit:
-                raise ValueError(f"magnitude {cv.magnitude} repeated; not a bijection")
-            seen |= bit
+        for cv in image:
+            x = cv.magnitude
+            # check_value's tests and the repeat bit; check_value runs only to raise
+            if not (0 <= cv.color < m and 1 <= x <= n) or seen & 1 << x:
+                check_value(cv, m, n)
+                raise ValueError(f"magnitude {x} repeated; not a bijection")
+            seen |= 1 << x
 
     @property
     def n(self) -> int:
@@ -206,21 +210,21 @@ class PinSet:
     elements: tuple[ColoredValue, ...] = ()
 
     def __post_init__(self) -> None:
-        elems = tuple(sorted({_coerce_value(v) for v in self.elements}, key=value_key(self.m)))
+        elems = {v if isinstance(v, ColoredValue) else _coerce_value(v) for v in self.elements}
+        elems = tuple(sorted(elems, key=value_key(self.m)))
         object.__setattr__(self, "elements", elems)
-        if self.m < 1 or self.n < 1:
-            raise ValueError(f"bad ambient (m={self.m}, n={self.n})")
+        m, n = self.m, self.n
+        if m < 1 or n < 1:
+            raise ValueError(f"bad ambient (m={m}, n={n})")
         for cv in elems:
-            check_value(cv, self.m, self.n)
+            if not (0 <= cv.color < m and 1 <= cv.magnitude <= n):
+                check_value(cv, m, n)
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def __iter__(self) -> Iterator[ColoredValue]:
         return iter(self.elements)
-
-    def __contains__(self, value) -> bool:
-        return _coerce_value(value) in self.elements
 
     def magnitude_set(self) -> frozenset[int]:
         """The plain magnitudes appearing in the set (multiplicity dropped)."""

@@ -5,6 +5,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -313,6 +314,34 @@ class TestEnginesAndPartitioning:
             parallel = collect_pinnacle_sets(g, budget, engine=engine, parallel=True)
             assert parallel == serial, (g, engine)
             assert list(parallel.stats) == list(serial.stats)
+
+    def test_report_decodes_tallies_by_the_sorted_groupby_rule(self):
+        # the report built by sorting all (bitmap, color sum) entries, grouping
+        # them by bitmap and building each element afresh from its bit
+        def sorted_groupby(g, tally):
+            stats = {}
+            ordered = sorted(tally.items(), key=lambda e: (e[0][0].bit_count(), *e[0]))
+            for bits, group in itertools.groupby(ordered, key=lambda e: e[0][0]):
+                hist = tuple((eps, count) for (_, eps), count in group)
+                elements = [CV(i // g.n, i % g.n + 1) for i in range(bits.bit_length()) if bits >> i & 1]
+                stats[PinSet(g.m, g.n, elements)] = oracle.PinStats(sum(c for _, c in hist), hist)
+            return list(stats.items())
+
+        for m, p, n in self.GRIDS:
+            g = GroupParams(m, p, n)
+            assert oracle._fits(g), g  # so auto runs the vectorized engine
+            for engine, scan in (("reference", oracle._scan_reference), ("auto", _vectorized.scan)):
+                expected = sorted_groupby(g, scan(m, p, n, tuple(range(1, n + 1))))
+                got = collect_pinnacle_sets(g, engine=engine).stats
+                assert list(got.items()) == expected, (m, p, n, engine)
+
+    def test_report_decodes_only_the_bits_it_meets(self):
+        # G(10**7, 10**7, 1) has order 1 and one empty set; a table of all
+        # m*n colored values up front would take seconds and gigabytes
+        started = time.perf_counter()
+        report = collect_pinnacle_sets(GroupParams(10**7, 10**7, 1))
+        assert time.perf_counter() - started < 1.0
+        assert report.stats == {PinSet(10**7, 1): oracle.PinStats(1, ((0, 1),))}
 
     def test_huge_modulus_falls_back_to_reference(self):
         g = GroupParams(25, 1, 3)  # bitmap keys would overflow; auto must cope

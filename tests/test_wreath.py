@@ -294,7 +294,7 @@ class TestPinSet:
         P = PinSet(3, 6, ((0, 2), (2, 5), (0, 2), (1, 1)))
         assert P.elements == (CV(2, 5), CV(1, 1), CV(0, 2))
         assert len(P) == 3
-        assert (0, 2) in P and CV(2, 6) not in P
+        assert CV(0, 2) in P.elements and CV(2, 6) not in P.elements
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -305,3 +305,78 @@ class TestPinSet:
     def test_str(self):
         assert str(PinSet(2, 3)) == "{}"
         assert str(PinSet(3, 10, ((0, 5), (1, 3)))) == "{xi^1(3), xi^0(5)}"
+
+
+@st.composite
+def raw_values(draw):
+    # a modulus and up to five values, each a ColoredValue or a plain (c, x)
+    # pair; about one in four colors is out of range or None, which compares
+    # with no number, and about one in four magnitudes is redrawn from 0..n+1,
+    # so out of range or repeated
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 5))
+    values = []
+    for x in draw(st.permutations(list(range(1, n + 1)))):
+        if draw(st.integers(0, 3)) == 0:
+            x = draw(st.integers(0, n + 1))
+        c = draw(st.integers(0, m - 1))
+        if draw(st.integers(0, 3)) == 0:
+            c = draw(st.sampled_from((-1, m, m + 2, None)))
+        values.append(CV(c, x) if draw(st.booleans()) else (c, x))
+    return m, values
+
+
+def outcome(build):
+    try:
+        return build()
+    except (TypeError, ValueError) as error:
+        return type(error), str(error)
+
+
+def per_value_check(values, m, n, bijection):
+    # the rule value by value: the first offending value raises
+    seen = set()
+    for cv in values:
+        if not 0 <= cv.color < m:
+            raise ValueError(f"color {cv.color} out of range for modulus {m}")
+        if not 1 <= cv.magnitude <= n:
+            raise ValueError(f"magnitude {cv.magnitude} out of range for degree {n}")
+        if bijection and cv.magnitude in seen:
+            raise ValueError(f"magnitude {cv.magnitude} repeated; not a bijection")
+        seen.add(cv.magnitude)
+
+
+def coerced(raw):
+    return [v if isinstance(v, CV) else CV(int(v[0]), int(v[1])) for v in raw]
+
+
+def per_value_gen_perm(m, raw):
+    image = tuple(coerced(raw))
+    if not image:
+        raise ValueError("degree must be positive")
+    per_value_check(image, m, len(image), True)
+    return image
+
+
+def per_value_pin_set(m, n, raw):
+    elements = tuple(sorted(set(coerced(raw)), key=value_key(m)))
+    per_value_check(elements, m, n, False)
+    return elements
+
+
+class TestValueChecks:
+    # GenPerm and PinSet test their values inline and call check_value only to
+    # raise; they must accept and reject exactly as a loop that checks value by
+    # value does, with its exception and message
+
+    @given(raw_values())
+    def test_gen_perm_matches_the_per_value_loop(self, drawn):
+        m, raw = drawn
+        assert outcome(lambda: GenPerm(m, raw).image) == outcome(lambda: per_value_gen_perm(m, raw))
+
+    @given(raw_values(), st.integers(1, 5))
+    def test_pin_set_matches_the_per_value_loop(self, drawn, n):
+        m, raw = drawn
+        assert outcome(lambda: PinSet(m, n, raw).elements) == outcome(
+            lambda: per_value_pin_set(m, n, raw)
+        )
