@@ -15,16 +15,21 @@ and oracle, which print rows, offer csv.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections import Counter
+from typing import TYPE_CHECKING
 
-from . import admissible, counting, oracle, shifts, wreath
+from . import wreath
+
+if TYPE_CHECKING:
+    from . import oracle
 
 # Handlers compute a record; ``_emit`` is the one output path (the only reader
 # of ``--format`` and ``--output``) and ``run`` the one place that picks the
-# exit code and writes to stderr.
+# exit code and writes to stderr.  Each handler imports the modules it calls,
+# and the parser gives arguments only to the command named, so a process
+# loads only what its command runs.
 
 BUDGET_ENV_VAR = "PINNACLES_ORACLE_BUDGET"
 
@@ -112,6 +117,7 @@ def _parse_range(text: str, what: str) -> range:
 
 
 def _budget_from(args) -> oracle.OracleBudget:
+    from . import oracle
     max_order = getattr(args, "budget", None)
     if max_order is None:
         raw = os.environ.get(BUDGET_ENV_VAR)
@@ -130,6 +136,7 @@ def _budget_from(args) -> oracle.OracleBudget:
 def _emit(args, doc: dict, text: str, csv: str | None = None) -> None:
     """Render one record in the chosen ``--format`` and write it to stdout or ``--output``."""
     if args.format == "json":
+        import json
         data = json.dumps(doc, sort_keys=True) + "\n"
     elif args.format == "csv":
         data = csv
@@ -151,6 +158,7 @@ def _emit(args, doc: dict, text: str, csv: str | None = None) -> None:
 
 
 def _cmd_count(args) -> None:
+    from . import admissible, counting
     params = wreath.GroupParams(args.m, args.p, args.n)
     value = str(counting.count_complex(params, args.d, args.method, budget=_budget_from(args)))
     d = admissible.max_pinnacles(args.n) if args.d is None else args.d
@@ -163,6 +171,7 @@ def _cmd_count(args) -> None:
 
 
 def _cmd_check(args) -> None:
+    from . import admissible
     P = parse_set(args.set, args.m, args.n)
     result = admissible.admissibility(P)
     rec = admissible.is_admissible_rec(P)
@@ -188,6 +197,7 @@ def _cmd_check(args) -> None:
 
 
 def _cmd_witness(args) -> None:
+    from . import admissible
     P = parse_set(args.set, args.m, args.n)
     w = admissible.canonical_witness(P)
     doc = {
@@ -223,6 +233,7 @@ def _cmd_pinnacles(args) -> None:
 
 
 def _cmd_table(args) -> None:
+    from . import counting
     ms = _parse_range(args.m, "m")
     ns = _parse_range(args.n, "n")
     cells = [(m, n, str(counting.count_total(m, n, args.method))) for m in ms for n in ns]
@@ -240,6 +251,9 @@ def _cmd_table(args) -> None:
 
 
 def _cmd_oracle(args) -> None:
+    from . import admissible, oracle
+    if args.diff:  # before the scan: compiled on the heap the scan grew, it raised the peak RSS
+        from . import counting
     params = wreath.GroupParams(args.m, args.p, args.n)
     budget = _budget_from(args)
     report = oracle.collect_pinnacle_sets(params, budget=budget, parallel=args.parallel)
@@ -279,6 +293,7 @@ def _cmd_oracle(args) -> None:
 
 
 def _cmd_shift(args) -> None:
+    from . import shifts
     if (args.set is None) == (args.perm is None):
         raise CliError("shift needs exactly one of --set or --perm")
     params = shifts.ShiftParams(args.m, args.k, args.n)
@@ -305,6 +320,7 @@ def _add_common(sub, *, p: bool = False, d: bool = False, budget: str | None = N
         sub.add_argument("--d", type=int, default=None,
                          help="cardinality cap d (default floor((n-1)/2))")
     if budget:
+        from . import oracle
         sub.add_argument("--budget", type=int, default=None,
                          help=f"{budget} (default {BUDGET_ENV_VAR} or "
                               f"{oracle.DEFAULT_MAX_ORDER})")
@@ -314,58 +330,87 @@ def _add_common(sub, *, p: bool = False, d: bool = False, budget: str | None = N
     sub.add_argument("--output", default=None, help="write data here instead of stdout")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _count_arguments(sub) -> None:
+    from . import counting
+    _add_common(sub, p=True, d=True, budget="cap on the candidate slot tests, "
+                "C(n,r)*p^r*(r+1), of a count at odd n = 2r+1 and d = r")
+    sub.add_argument("--method", choices=counting.METHOD_CHOICES, default=counting.DEFAULT_METHOD)
+
+
+def _check_arguments(sub) -> None:
+    _add_common(sub)
+    sub.add_argument("--set", required=True, help='e.g. "1:3,0:5,0:2" or "empty"')
+
+
+def _witness_arguments(sub) -> None:
+    _add_common(sub)
+    sub.add_argument("--set", required=True)
+
+
+def _pinnacles_arguments(sub) -> None:
+    _add_common(sub, p=True)
+    sub.add_argument("--perm", required=True, help='word w(n)..w(1), e.g. "1:5 0:4 1:3 0:2 1:1"')
+
+
+def _table_arguments(sub) -> None:
+    from . import counting
+    sub.add_argument("--m", required=True, help="m range, INT or LO..HI")
+    sub.add_argument("--n", required=True, help="n range, INT or LO..HI")
+    sub.add_argument("--method", choices=counting.METHOD_CHOICES, default=counting.DEFAULT_METHOD)
+    sub.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    sub.add_argument("--output", default=None)
+
+
+def _oracle_arguments(sub) -> None:
+    _add_common(sub, p=True, budget="oracle group-order cap")
+    sub.add_argument("--diff", action="store_true",
+                     help="compare scan counts against the formulas")
+    sub.add_argument("--parallel", action="store_true",
+                     help="split the scan over one process per CPU")
+
+
+def _shift_arguments(sub) -> None:
+    _add_common(sub)
+    sub.add_argument("--k", type=int, required=True, help="shift amount k >= 0")
+    sub.add_argument("--set", default=None)
+    sub.add_argument("--perm", default=None)
+
+
+# each command: its help line, what adds its arguments, and its handler, in help order
+_COMMANDS = {
+    "count": ("count admissible pinnacle sets", _count_arguments, _cmd_count),
+    "check": ("decide admissibility of a set", _check_arguments, _cmd_check),
+    "witness": ("canonical witness of a set", _witness_arguments, _cmd_witness),
+    "pinnacles": ("pinnacles, peaks, color sum of a permutation", _pinnacles_arguments,
+                  _cmd_pinnacles),
+    "table": ("grid of total counts over m and n ranges", _table_arguments, _cmd_table),
+    "oracle": ("exhaustive scan of G(m,p,n)", _oracle_arguments, _cmd_oracle),
+    "shift": ("apply the color-shift embedding", _shift_arguments, _cmd_shift),
+}
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The parser; only the commands ``argv`` names get their arguments, all when it names none.
+
+    argparse dispatches only to a command that argv names.  Building the other
+    commands' arguments would load modules that the command never runs.
+    """
     parser = _Parser(prog="pinnacles", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     commands = parser.add_subparsers(dest="command", required=True)
-
-    count = commands.add_parser("count", help="count admissible pinnacle sets")
-    _add_common(count, p=True, d=True, budget="cap on the candidate slot tests, "
-                "C(n,r)*p^r*(r+1), of a count at odd n = 2r+1 and d = r")
-    count.add_argument("--method", choices=counting.METHOD_CHOICES,
-                       default=counting.DEFAULT_METHOD)
-    count.set_defaults(handler=_cmd_count)
-
-    check = commands.add_parser("check", help="decide admissibility of a set")
-    _add_common(check)
-    check.add_argument("--set", required=True, help='e.g. "1:3,0:5,0:2" or "empty"')
-    check.set_defaults(handler=_cmd_check)
-
-    witness = commands.add_parser("witness", help="canonical witness of a set")
-    _add_common(witness)
-    witness.add_argument("--set", required=True)
-    witness.set_defaults(handler=_cmd_witness)
-
-    pins = commands.add_parser("pinnacles", help="pinnacles, peaks, color sum of a permutation")
-    _add_common(pins, p=True)
-    pins.add_argument("--perm", required=True, help='word w(n)..w(1), e.g. "1:5 0:4 1:3 0:2 1:1"')
-    pins.set_defaults(handler=_cmd_pinnacles)
-
-    table = commands.add_parser("table", help="grid of total counts over m and n ranges")
-    table.add_argument("--m", required=True, help="m range, INT or LO..HI")
-    table.add_argument("--n", required=True, help="n range, INT or LO..HI")
-    table.add_argument("--method", choices=counting.METHOD_CHOICES,
-                       default=counting.DEFAULT_METHOD)
-    table.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    table.add_argument("--output", default=None)
-    table.set_defaults(handler=_cmd_table)
-
-    orc = commands.add_parser("oracle", help="exhaustive scan of G(m,p,n)")
-    _add_common(orc, p=True, budget="oracle group-order cap")
-    orc.add_argument("--diff", action="store_true",
-                     help="compare scan counts against the formulas")
-    orc.add_argument("--parallel", action="store_true",
-                     help="split the scan over one process per CPU")
-    orc.set_defaults(handler=_cmd_oracle)
-
-    shift = commands.add_parser("shift", help="apply the color-shift embedding")
-    _add_common(shift)
-    shift.add_argument("--k", type=int, required=True, help="shift amount k >= 0")
-    shift.add_argument("--set", default=None)
-    shift.add_argument("--perm", default=None)
-    shift.set_defaults(handler=_cmd_shift)
-
+    named = _COMMANDS.keys() & set(argv or ())
+    for name, (help_line, add_arguments, handler) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=help_line)
+        if not named or name in named:
+            add_arguments(sub)
+        sub.set_defaults(handler=handler)
     return parser
+
+
+def _loaded(module: str, *names: str) -> tuple[type, ...]:
+    # a package module's named exception types, none if it never ran and so cannot raise
+    loaded = sys.modules.get(f"{__package__}.{module}")
+    return tuple(getattr(loaded, name) for name in names) if loaded else ()
 
 
 def run(argv: list[str]) -> int:
@@ -373,12 +418,12 @@ def run(argv: list[str]) -> int:
     if hasattr(sys, "set_int_max_str_digits"):  # counts are exact, so print every digit
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         args.handler(args)
         return EXIT_OK
-    except (CrossCheckFailure, counting.CrossCheckMismatch, counting.NegativeCount) as exc:
+    except (CrossCheckFailure, *_loaded("counting", "CrossCheckMismatch", "NegativeCount")) as exc:
         error, code = exc, EXIT_CROSSCHECK
-    except oracle.BudgetExceeded as exc:
+    except _loaded("oracle", "BudgetExceeded") as exc:
         error, code = exc, EXIT_BUDGET
     except (CliError, ValueError) as exc:
         error, code = exc, EXIT_USAGE

@@ -27,11 +27,14 @@ from __future__ import annotations
 from itertools import accumulate, combinations, product
 from math import comb
 from operator import mul
+from typing import TYPE_CHECKING
 
 from . import wreath
 from .admissible import max_pinnacles
-from .oracle import OracleBudget
 from .wreath import ColoredValue, GroupParams
+
+if TYPE_CHECKING:
+    from .oracle import OracleBudget
 
 def _validate(m: int, n: int, d: int) -> None:
     if m < 1 or n < 1:
@@ -244,6 +247,7 @@ def count_complex(
         d = cap
     if g.p == 1 or g.n % 2 == 0 or g.n < 3 or d != cap:
         return count_pinnacle_sets(g.m, g.n, d, method)
+    from .oracle import OracleBudget  # only this case reads a budget, so only it loads oracle
     p, n = g.p, g.n
     # C(n,d) p^d (d+1) built up as (d+1) p^i C(n-d+i, i) for i = 0..d
     tests = accumulate(range(1, d + 1), lambda t, i: t * p * (n - d + i) // i, initial=d + 1)

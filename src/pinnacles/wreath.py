@@ -113,15 +113,6 @@ class GenPerm:
     def word(self) -> tuple[ColoredValue, ...]:
         return tuple(reversed(self.image))
 
-    def __call__(self, j: int) -> ColoredValue:
-        """The image w(j) of a plain position 1 <= j <= n."""
-        return self.image[j - 1]
-
-    def apply(self, value: ColoredValue) -> ColoredValue:
-        """Color-equivariant action on any colored value: w(xi^a x) = xi^a w(x)."""
-        base = self.image[value.magnitude - 1]
-        return ColoredValue((base.color + value.color) % self.m, base.magnitude)
-
     def __str__(self) -> str:
         return " ".join(str(v) for v in self.word)
 
@@ -229,12 +220,6 @@ class PinSet:
     def magnitude_set(self) -> frozenset[int]:
         """The plain magnitudes appearing in the set (multiplicity dropped)."""
         return frozenset(cv.magnitude for cv in self.elements)
-
-    def color_slice(self, i: int) -> "PinSet":
-        """The subset of elements with color exactly i; the slices partition."""
-        if not 0 <= i < self.m:
-            raise ValueError(f"color {i} out of range for modulus {self.m}")
-        return PinSet(self.m, self.n, tuple(cv for cv in self.elements if cv.color == i))
 
     def __str__(self) -> str:
         if not self.elements:

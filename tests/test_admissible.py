@@ -141,7 +141,7 @@ class TestDeciderAgreement:
     def test_no_top_color_slice_with_distinct_magnitudes_admissible(self):
         # colors 1..m-2 only; the top-color base case is vacuous
         P = PinSet(4, 9, ((1, 2), (2, 5), (1, 7)))
-        assert len(P.color_slice(3)) == 0
+        assert not any(cv.color == 3 for cv in P)
         assert is_admissible(P) and is_admissible_rec(P) and is_admissible_top(P)
 
     def test_top_color_maximum_magnitude_singleton_inadmissible(self):

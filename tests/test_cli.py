@@ -498,37 +498,38 @@ class TestUsage:
         assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
     def test_only_scans_load_numpy(self):
-        # numpy and the process pool load on first scan, not on import
+        # each command, as its own process, loads only the package modules it
+        # runs; numpy only with a scan, and the process pool with none of these
         import subprocess
         import sys
 
-        script = """
-import contextlib, io, json, sys
-from pinnacles import cli
-heavy = ("numpy", "concurrent.futures")
-loaded = {"import": [0, [mod for mod in heavy if mod in sys.modules]]}
-for name, argv in (
-    ("count", ["count", "--m", "3", "--n", "10"]),
-    ("odd-maximal count", ["count", "--m", "4", "--p", "2", "--n", "7"]),
-    ("check", ["check", "--m", "3", "--n", "10", "--set", "1:3,0:5,0:2"]),
-    ("table", ["table", "--m", "1..3", "--n", "3..5"]),
-    ("oracle", ["oracle", "--m", "2", "--n", "4"]),
-):
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.run(argv)
-    loaded[name] = [code, [mod for mod in heavy if mod in sys.modules]]
-print(json.dumps(loaded))
-"""
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == {
-            "import": [0, []],
-            "count": [EXIT_OK, []],
-            "odd-maximal count": [EXIT_OK, []],
-            "check": [EXIT_OK, []],
-            "table": [EXIT_OK, []],
-            "oracle": [EXIT_OK, ["numpy"]],
+        base = ["pinnacles.cli", "pinnacles.wreath"]
+        decide = [*base, "pinnacles.admissible"]
+        count = [*decide, "pinnacles.counting", "pinnacles.oracle"]
+        expected = {
+            ("count", "--m", "3", "--n", "10"): count,
+            ("count", "--m", "4", "--p", "2", "--n", "7"): count,
+            ("check", "--m", "3", "--n", "10", "--set", "1:3,0:5,0:2"): decide,
+            ("witness", "--m", "3", "--n", "10", "--set", "1:3"): decide,
+            ("pinnacles", "--m", "2", "--n", "3", "--perm", "0:1 0:3 0:2"): base,
+            ("shift", "--m", "2", "--n", "3", "--k", "1", "--set", "0:1"):
+                [*base, "pinnacles.shifts"],
+            ("table", "--m", "1..3", "--n", "3..5"): [*decide, "pinnacles.counting"],
+            ("oracle", "--m", "2", "--n", "4"):
+                [*decide, "pinnacles.oracle", "pinnacles._vectorized", "numpy"],
         }
+        for argv, modules in expected.items():
+            proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "pinnacles", *argv],
+                                  capture_output=True, text=True)
+            # -X importtime logs each module it loads on stderr as "import time: ... | name"
+            log = proc.stderr.splitlines(keepends=True)
+            loaded = {line.rsplit("|", 1)[1].strip() for line in log
+                      if line.startswith("import time:")}
+            err = "".join(line for line in log if not line.startswith("import time:"))
+            assert (proc.returncode, err) == (EXIT_OK, ""), argv
+            got = [mod for mod in loaded
+                   if mod.startswith("pinnacles.") or mod in ("numpy", "concurrent.futures")]
+            assert sorted(got) == sorted(modules), argv
 
     def test_missing_numpy_is_one_error_line(self, capsys):
         # only the vectorized engine imports numpy: without it, a scan that

@@ -110,7 +110,7 @@ class TestWitnessStreams:
         found = list(witnesses_of(P, GroupParams(1, 1, 3)))
         assert canonical_witness(P) in found
         for w in found:
-            assert w(2) == CV(0, 1)
+            assert w.image[1] == CV(0, 1)
 
     def test_ambient_mismatch(self):
         with pytest.raises(ValueError):
