@@ -12,10 +12,8 @@ cross-checked against each other and against brute force.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-
 from . import wreath
-from .wreath import ColoredValue, GenPerm, PinSet, pinnacle_set
+from .wreath import ColoredValue, GenPerm, PinSet, _set, _Value, pinnacle_set
 
 
 class AdmissibilityError(ValueError):
@@ -75,14 +73,22 @@ def canonical_witness(P: PinSet) -> GenPerm:
     return GenPerm.from_word(P.m, word)
 
 
-@dataclass(frozen=True)
-class Admissibility:
+class Admissibility(_Value):
     """Outcome of the witness test, with a machine-readable failure reason."""
 
-    admissible: bool
-    code: str | None = None
-    reason: str | None = None
-    witness: GenPerm | None = None
+    __slots__ = ("admissible", "code", "reason", "witness")
+
+    def __init__(
+        self,
+        admissible: bool,
+        code: str | None = None,
+        reason: str | None = None,
+        witness: GenPerm | None = None,
+    ) -> None:
+        _set(self, "admissible", admissible)
+        _set(self, "code", code)
+        _set(self, "reason", reason)
+        _set(self, "witness", witness)
 
 
 def admissibility(P: PinSet) -> Admissibility:

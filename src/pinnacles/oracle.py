@@ -34,11 +34,11 @@ import functools
 import itertools
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .admissible import max_pinnacles
 from .wreath import ColoredValue, GenPerm, GroupParams, PinSet, color_sum, pinnacle_set
+from .wreath import _set, _Value
 
 DEFAULT_MAX_ORDER = 10_000_000
 
@@ -62,18 +62,18 @@ class BudgetExceeded(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class OracleBudget:
+class OracleBudget(_Value):
     """Work limits: the cap on a scan's group order or a count's slot tests, and scan width.
 
     ``partitions`` splits only a parallel scan; a serial one, or 1 part, is one engine call.
     """
 
-    max_order: int = DEFAULT_MAX_ORDER
-    partitions: int = 1
+    __slots__ = ("max_order", "partitions")
 
-    def __post_init__(self) -> None:
-        if self.max_order < 1 or self.partitions < 1:
+    def __init__(self, max_order: int = DEFAULT_MAX_ORDER, partitions: int = 1) -> None:
+        _set(self, "max_order", max_order)
+        _set(self, "partitions", partitions)
+        if max_order < 1 or partitions < 1:
             raise ValueError("budget caps must be positive")
 
     def check(self, g: GroupParams, partials: Iterable[int], what: str = "order") -> None:
@@ -95,12 +95,14 @@ def _order_partials(g: GroupParams) -> Iterator[int]:
     return itertools.accumulate(factors, operator.mul)
 
 
-@dataclass(frozen=True)
-class PinStats:
+class PinStats(_Value):
     """Witness tally for one pinnacle set: count plus color-sum histogram."""
 
-    witness_count: int
-    eps_histogram: tuple[tuple[int, int], ...]
+    __slots__ = ("witness_count", "eps_histogram")
+
+    def __init__(self, witness_count: int, eps_histogram: tuple[tuple[int, int], ...]) -> None:
+        _set(self, "witness_count", witness_count)
+        _set(self, "eps_histogram", eps_histogram)
 
     @property
     def eps_min(self) -> int:
@@ -120,18 +122,23 @@ class PinStats:
         return values == tuple(range(values[0], values[-1] + 1))
 
 
-@dataclass(eq=True)
-class OracleReport:
-    """Everything the scan learned about G(m,p,n).
+class OracleReport(_Value):
+    """Everything the scan learned about G(m,p,n); mutable, so unhashable.
 
     ``stats`` is in print order: by cardinality, then by the bitmap, the sum of
     2**(c*n + x - 1) over the elements xi^c(x), so the element with the largest
     c*n + x decides first.  The order does not read ``wreath.value_key``.
     """
 
-    params: GroupParams
-    stats: dict[PinSet, PinStats]
-    scanned: int
+    __slots__ = ("params", "stats", "scanned")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, params: GroupParams, stats: dict[PinSet, PinStats], scanned: int) -> None:
+        self.params = params
+        self.stats = stats
+        self.scanned = scanned
 
     @property
     def total_admissible(self) -> int:
@@ -152,10 +159,16 @@ def _word_stream(n: int, firsts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 
 
 def _elements(m: int, p: int, n: int, firsts: tuple[int, ...]) -> Iterator[GenPerm]:
+    # one shared ColoredValue per colored value the walk meets, values[x-1][c]
+    # for xi^c(x): every color when n > 1, only the multiples of p when n = 1,
+    # so the table never holds more values than the walk has elements
+    colors = range(0, m, p if n == 1 else 1)
+    values = [{c: ColoredValue(c, x) for c in colors} for x in range(1, n + 1)]
     for mags in _word_stream(n, firsts):
+        column = [values[x - 1] for x in mags]
         for head in itertools.product(range(m), repeat=n - 1):
             for last in range(-sum(head) % p, m, p):
-                yield GenPerm.from_word(m, zip(head + (last,), mags))
+                yield GenPerm.from_word(m, [v[c] for v, c in zip(column, head + (last,))])
 
 
 def enumerate_group(g: GroupParams, budget: OracleBudget | None = None) -> Iterator[GenPerm]:

@@ -8,24 +8,22 @@ entrywise relabeling, not a group homomorphism, and no such law is assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .wreath import ColoredValue, GenPerm, PinSet
+from .wreath import ColoredValue, GenPerm, PinSet, _set, _Value
 
 
-@dataclass(frozen=True)
-class ShiftParams:
+class ShiftParams(_Value):
     """Shift by k from modulus m into modulus m+k, at fixed degree n."""
 
-    m: int
-    k: int
-    n: int
+    __slots__ = ("m", "k", "n")
 
-    def __post_init__(self) -> None:
-        if self.m < 1 or self.n < 1:
-            raise ValueError(f"bad source (m={self.m}, n={self.n})")
-        if self.k < 0:
-            raise ValueError(f"shift must be nonnegative, got {self.k}")
+    def __init__(self, m: int, k: int, n: int) -> None:
+        _set(self, "m", m)
+        _set(self, "k", k)
+        _set(self, "n", n)
+        if m < 1 or n < 1:
+            raise ValueError(f"bad source (m={m}, n={n})")
+        if k < 0:
+            raise ValueError(f"shift must be nonnegative, got {k}")
 
     @property
     def target_modulus(self) -> int:

@@ -19,6 +19,13 @@ not give ColoredValue one.  GenPerm and PinSet check their values in one pass
 with ``check_value``'s comparisons inline, and call it only on the first value
 that fails, so a rejection names that value.
 
+Value semantics live in one private base, ``_Value``, which every value type
+of the package derives from: fields named by ``__slots__``, equality and
+hashing field by field within one class, no assignment after ``__init__``,
+and a repr, ``__match_args__`` and pickling that follow the fields.
+ColoredValue and PinSet, hashed and compared in the scans' inner loops,
+spell out their own equality and hashing with the same meaning.
+
 All types are immutable values and all operations are pure, so everything
 here is safe to share across threads.
 """
@@ -26,16 +33,67 @@ here is safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import operator
 from typing import Callable, Iterable, Iterator
 
+# how an __init__ sets a field, past the frozen __setattr__
+_set = object.__setattr__
 
-@dataclass(frozen=True, slots=True)
-class ColoredValue:
+
+class _Value:
+    """Field-wise value semantics for a class whose ``__slots__`` name its fields.
+
+    A subclass has two or more fields and sets each in its ``__init__`` with
+    ``_set``.  Values of one class are equal, and hash alike, when their
+    fields are; assigning or deleting a field raises AttributeError; repr,
+    ``__match_args__`` and pickling follow the fields in order, and unpickling
+    calls the constructor.  Values are not ordered.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = cls.__slots__
+        cls._fields = operator.attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) == other._fields(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = zip(self.__slots__, self._fields(self))
+        return f"{type(self).__qualname__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+    def __reduce__(self):
+        return self.__class__, self._fields(self)
+
+
+class ColoredValue(_Value):
     """A symbolic xi^color(magnitude); compare values by ``value_key(m)``."""
 
-    color: int
-    magnitude: int
+    __slots__ = ("color", "magnitude")
+
+    def __init__(self, color: int, magnitude: int) -> None:
+        _set(self, "color", color)
+        _set(self, "magnitude", magnitude)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.color == other.color and self.magnitude == other.magnitude
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.color, self.magnitude))
 
     def __str__(self) -> str:
         return f"xi^{self.color}({self.magnitude})"
@@ -68,21 +126,20 @@ def _coerce_value(value) -> ColoredValue:
     return ColoredValue(int(color), int(magnitude))
 
 
-@dataclass(frozen=True)
-class GenPerm:
+class GenPerm(_Value):
     """A generalized permutation of Z_m wr S_n, stored by position.
 
     ``image[j-1]`` is the colored value w(j).  One-line (word) notation lists
     the images from position n down to 1, matching the usual display.
     """
 
-    m: int
-    image: tuple[ColoredValue, ...]
+    __slots__ = ("m", "image")
 
-    def __post_init__(self) -> None:
-        image = tuple([v if isinstance(v, ColoredValue) else _coerce_value(v) for v in self.image])
-        object.__setattr__(self, "image", image)
-        m, n = self.m, len(image)
+    def __init__(self, m: int, image: Iterable) -> None:
+        image = tuple([v if isinstance(v, ColoredValue) else _coerce_value(v) for v in image])
+        _set(self, "m", m)
+        _set(self, "image", image)
+        n = len(image)
         if m < 1:
             raise ValueError(f"modulus must be positive, got {m}")
         if n < 1:
@@ -158,19 +215,19 @@ def color_sum(w: GenPerm) -> int:
     return sum(cv.color for cv in w.image)
 
 
-@dataclass(frozen=True)
-class GroupParams:
+class GroupParams(_Value):
     """The triple (m, p, n) with p | m, naming the reflection group G(m,p,n)."""
 
-    m: int
-    p: int
-    n: int
+    __slots__ = ("m", "p", "n")
 
-    def __post_init__(self) -> None:
-        if self.m < 1 or self.p < 1 or self.n < 1:
+    def __init__(self, m: int, p: int, n: int) -> None:
+        _set(self, "m", m)
+        _set(self, "p", p)
+        _set(self, "n", n)
+        if m < 1 or p < 1 or n < 1:
             raise ValueError(f"m, p, n must be positive, got {self}")
-        if self.m % self.p != 0:
-            raise ValueError(f"p = {self.p} does not divide m = {self.m}")
+        if m % p != 0:
+            raise ValueError(f"p = {p} does not divide m = {m}")
 
     @property
     def order(self) -> int:
@@ -187,8 +244,7 @@ def in_subgroup(w: GenPerm, g: GroupParams) -> bool:
     return color_sum(w) % g.p == 0
 
 
-@dataclass(frozen=True)
-class PinSet:
+class PinSet(_Value):
     """A set of colored values over an ambient (m, n), kept sorted ascending.
 
     Candidate or certified pinnacle set; certification (distinct magnitudes,
@@ -196,20 +252,27 @@ class PinSet:
     construction invariant.
     """
 
-    m: int
-    n: int
-    elements: tuple[ColoredValue, ...] = ()
+    __slots__ = ("m", "n", "elements")
 
-    def __post_init__(self) -> None:
-        elems = {v if isinstance(v, ColoredValue) else _coerce_value(v) for v in self.elements}
-        elems = tuple(sorted(elems, key=value_key(self.m)))
-        object.__setattr__(self, "elements", elems)
-        m, n = self.m, self.n
+    def __init__(self, m: int, n: int, elements: Iterable = ()) -> None:
+        elems = {v if isinstance(v, ColoredValue) else _coerce_value(v) for v in elements}
+        elems = tuple(sorted(elems, key=value_key(m)))
+        _set(self, "m", m)
+        _set(self, "n", n)
+        _set(self, "elements", elems)
         if m < 1 or n < 1:
             raise ValueError(f"bad ambient (m={m}, n={n})")
         for cv in elems:
             if not (0 <= cv.color < m and 1 <= cv.magnitude <= n):
                 check_value(cv, m, n)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.m == other.m and self.n == other.n and self.elements == other.elements
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.n, self.elements))
 
     def __len__(self) -> int:
         return len(self.elements)

@@ -499,10 +499,25 @@ class TestUsage:
 
     def test_only_scans_load_numpy(self):
         # each command, as its own process, loads only the package modules it
-        # runs; numpy only with a scan, and the process pool with none of these
+        # runs; numpy only with a scan, the process pool with none of these, and
+        # dataclasses and inspect with none, unless a bare interpreter (site, a
+        # .pth file) or, for a scan, numpy's own import already loads them
         import subprocess
         import sys
 
+        def importtime(*args):
+            proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                                  capture_output=True, text=True)
+            # -X importtime logs each module it loads on stderr as "import time: ... | name"
+            log = proc.stderr.splitlines(keepends=True)
+            loaded = {line.rsplit("|", 1)[1].strip() for line in log
+                      if line.startswith("import time:")}
+            err = "".join(line for line in log if not line.startswith("import time:"))
+            return proc.returncode, err, loaded
+
+        _, bare_err, bare = importtime("-c", "pass")
+        _, numpy_err, with_numpy = importtime("-c", "import numpy")
+        assert bare_err == numpy_err == ""
         base = ["pinnacles.cli", "pinnacles.wreath"]
         decide = [*base, "pinnacles.admissible"]
         count = [*decide, "pinnacles.counting", "pinnacles.oracle"]
@@ -519,17 +534,13 @@ class TestUsage:
                 [*decide, "pinnacles.oracle", "pinnacles._vectorized", "numpy"],
         }
         for argv, modules in expected.items():
-            proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "pinnacles", *argv],
-                                  capture_output=True, text=True)
-            # -X importtime logs each module it loads on stderr as "import time: ... | name"
-            log = proc.stderr.splitlines(keepends=True)
-            loaded = {line.rsplit("|", 1)[1].strip() for line in log
-                      if line.startswith("import time:")}
-            err = "".join(line for line in log if not line.startswith("import time:"))
-            assert (proc.returncode, err) == (EXIT_OK, ""), argv
+            code, err, loaded = importtime("-m", "pinnacles", *argv)
+            assert (code, err) == (EXIT_OK, ""), argv
             got = [mod for mod in loaded
                    if mod.startswith("pinnacles.") or mod in ("numpy", "concurrent.futures")]
             assert sorted(got) == sorted(modules), argv
+            baseline = with_numpy if "numpy" in modules else bare
+            assert not {"dataclasses", "inspect"} & (loaded - baseline), argv
 
     def test_missing_numpy_is_one_error_line(self, capsys):
         # only the vectorized engine imports numpy: without it, a scan that

@@ -1,12 +1,17 @@
-"""Group structure, the total order, and pinnacle extraction."""
+"""Group structure, the total order, pinnacle extraction, and value semantics."""
 
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pinnacles.admissible import Admissibility
+from pinnacles.oracle import DEFAULT_MAX_ORDER, OracleBudget, OracleReport, PinStats
+from pinnacles.shifts import ShiftParams
 from pinnacles.wreath import (
     ColoredValue,
     GenPerm,
@@ -372,3 +377,134 @@ class TestValueChecks:
         assert outcome(lambda: PinSet(m, n, raw).elements) == outcome(
             lambda: per_value_pin_set(m, n, raw)
         )
+
+
+W = GenPerm(2, ((1, 2), (0, 1)))
+W_TEXT = ("GenPerm(m=2, image=(ColoredValue(color=1, magnitude=2), "
+          "ColoredValue(color=0, magnitude=1)))")
+
+# each value type of the package: a value, its repr as the dataclass version
+# printed it, a value of the same class that differs in one field, and the
+# field names in order
+VALUES = [
+    pytest.param(value, text, other, names, id=type(value).__name__)
+    for value, text, other, names in [
+        (CV(1, 3), "ColoredValue(color=1, magnitude=3)", CV(1, 2), ("color", "magnitude")),
+        (W, W_TEXT, GenPerm(2, ((0, 2), (0, 1))), ("m", "image")),
+        (GroupParams(4, 2, 3), "GroupParams(m=4, p=2, n=3)", GroupParams(4, 2, 2), ("m", "p", "n")),
+        (
+            PinSet(3, 10, ((0, 5), (1, 3))),
+            "PinSet(m=3, n=10, elements=(ColoredValue(color=1, magnitude=3), "
+            "ColoredValue(color=0, magnitude=5)))",
+            PinSet(3, 11, ((0, 5), (1, 3))),
+            ("m", "n", "elements"),
+        ),
+        (
+            Admissibility(True, witness=W),
+            f"Admissibility(admissible=True, code=None, reason=None, witness={W_TEXT})",
+            Admissibility(True),
+            ("admissible", "code", "reason", "witness"),
+        ),
+        (
+            OracleBudget(max_order=50, partitions=2),
+            "OracleBudget(max_order=50, partitions=2)",
+            OracleBudget(50),
+            ("max_order", "partitions"),
+        ),
+        (
+            PinStats(3, ((0, 1), (2, 2))),
+            "PinStats(witness_count=3, eps_histogram=((0, 1), (2, 2)))",
+            PinStats(3, ((0, 1), (2, 1))),
+            ("witness_count", "eps_histogram"),
+        ),
+        (
+            OracleReport(GroupParams(1, 1, 2), {PinSet(1, 2): PinStats(2, ((0, 2),))}, 2),
+            "OracleReport(params=GroupParams(m=1, p=1, n=2), stats={PinSet(m=1, n=2, "
+            "elements=()): PinStats(witness_count=2, eps_histogram=((0, 2),))}, scanned=2)",
+            OracleReport(GroupParams(1, 1, 2), {}, 2),
+            ("params", "stats", "scanned"),
+        ),
+        (ShiftParams(1, 2, 3), "ShiftParams(m=1, k=2, n=3)", ShiftParams(1, 0, 3), ("m", "k", "n")),
+    ]
+]
+FROZEN = [case for case in VALUES if case.id != "OracleReport"]
+
+
+def fields(value):
+    return tuple(getattr(value, name) for name in type(value).__match_args__)
+
+
+class TestValueSemantics:
+    @pytest.mark.parametrize("value, text, other, names", VALUES)
+    def test_fields_in_order(self, value, text, other, names):
+        assert type(value).__match_args__ == names
+        cls = type(value)
+        assert cls(*fields(value)) == cls(**dict(zip(names, fields(value)))) == value
+
+    @pytest.mark.parametrize("value, text, other, names", VALUES)
+    def test_equal_by_fields_within_one_class(self, value, text, other, names):
+        twin = type(value)(*fields(value))
+        assert twin is not value and twin == value and not twin != value
+        assert value != other and other != value
+        assert value != fields(value) and fields(value) != value
+
+    @pytest.mark.parametrize("value, text, other, names", FROZEN)
+    def test_hash_is_the_hash_of_the_fields(self, value, text, other, names):
+        assert hash(type(value)(*fields(value))) == hash(value) == hash(fields(value))
+        assert len({value, type(value)(*fields(value)), other}) == 2
+
+    def test_unequal_across_classes(self):
+        same_fields = [CV(5, 2), PinStats(5, 2), OracleBudget(5, 2)]
+        for u, v in itertools.permutations(same_fields, 2):
+            assert u != v
+        assert GroupParams(4, 2, 3) != ShiftParams(4, 2, 3)
+        assert len({*same_fields, GroupParams(4, 2, 3), ShiftParams(4, 2, 3)}) == 5
+
+    @pytest.mark.parametrize("value, text, other, names", VALUES)
+    def test_unordered(self, value, text, other, names):
+        with pytest.raises(TypeError):
+            value < other
+
+    @pytest.mark.parametrize("value, text, other, names", VALUES)
+    def test_repr_is_the_dataclass_text(self, value, text, other, names):
+        assert repr(value) == text
+
+    @pytest.mark.parametrize("value, text, other, names", FROZEN)
+    def test_fields_cannot_be_assigned_or_deleted(self, value, text, other, names):
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(value, name, getattr(other, name))
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert repr(value) == text
+
+    @pytest.mark.parametrize("value, text, other, names", VALUES)
+    def test_pickle_and_deepcopy_round_trip(self, value, text, other, names):
+        copies = [pickle.loads(pickle.dumps(value, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in [*copies, copy.copy(value), copy.deepcopy(value)]:
+            assert type(twin) is type(value) and twin == value and repr(twin) == text
+
+    def test_keyword_construction_and_defaults(self):
+        assert fields(OracleBudget()) == (DEFAULT_MAX_ORDER, 1)
+        assert fields(Admissibility(True, witness=W)) == (True, None, None, W)
+        assert fields(Admissibility(False, "no-witness")) == (False, "no-witness", None, None)
+        assert PinSet(3, 10).elements == () and PinSet(m=3, n=10) == PinSet(3, 10, ())
+        assert GroupParams(n=3, p=2, m=4) == GroupParams(4, 2, 3)
+        assert CV(magnitude=3, color=1) == CV(1, 3)
+
+    def test_match_reads_fields_in_order(self):
+        match Admissibility(True, witness=W):
+            case Admissibility(True, None, None, GenPerm(m, image)):
+                assert (m, image) == (2, W.image)
+            case _:
+                pytest.fail("no match")
+
+    def test_report_is_mutable_and_unhashable(self):
+        report = OracleReport(GroupParams(1, 1, 2), {}, 2)
+        with pytest.raises(TypeError):
+            hash(report)
+        report.scanned = 3
+        assert report == OracleReport(GroupParams(1, 1, 2), {}, 3)
