@@ -22,8 +22,8 @@ _EXPORTS = {
                  "count_closed_positive", "count_complex", "count_pinnacle_sets",
                  "count_recursion_m", "count_recursion_n", "count_total"),
     "oracle": ("BudgetExceeded", "OracleBudget", "OracleReport", "PinStats",
-               "collect_pinnacle_sets", "enumerate_group", "witnesses_of"),
-    "shifts": ("ShiftParams", "shift_perm", "shift_set", "unshift_perm"),
+               "collect_pinnacle_sets"),
+    "shifts": ("ShiftParams", "shift_perm", "shift_set"),
     "wreath": ("ColoredValue", "GenPerm", "GroupParams", "PinSet", "color_sum", "in_subgroup",
                "inverse", "multiply", "peaks", "pinnacle_set", "value_key"),
 }

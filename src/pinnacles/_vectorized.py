@@ -11,12 +11,15 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from typing import Iterator
 
 import numpy as np
 
 from . import wreath
 from .wreath import ColoredValue
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from collections.abc import Iterator
 
 # words per block of the word side
 _WORDS = 2**10

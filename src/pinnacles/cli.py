@@ -18,10 +18,10 @@ import argparse
 import os
 import sys
 from collections import Counter
-from typing import TYPE_CHECKING
 
 from . import wreath
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from . import oracle
 

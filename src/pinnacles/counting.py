@@ -27,12 +27,12 @@ from __future__ import annotations
 from itertools import accumulate, combinations, product
 from math import comb
 from operator import mul
-from typing import TYPE_CHECKING
 
 from . import wreath
 from .admissible import max_pinnacles
 from .wreath import ColoredValue, GroupParams
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from .oracle import OracleBudget
 

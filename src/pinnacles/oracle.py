@@ -34,11 +34,14 @@ import functools
 import itertools
 import operator
 from collections import Counter
-from typing import Iterable, Iterator
 
 from .admissible import max_pinnacles
 from .wreath import ColoredValue, GenPerm, GroupParams, PinSet, color_sum, pinnacle_set
 from .wreath import _set, _Value
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator
 
 DEFAULT_MAX_ORDER = 10_000_000
 
@@ -123,7 +126,7 @@ class PinStats(_Value):
 
 
 class OracleReport(_Value):
-    """Everything the scan learned about G(m,p,n); mutable, so unhashable.
+    """Everything the scan learned about G(m,p,n); frozen, but unhashable, as ``stats`` is a dict.
 
     ``stats`` is in print order: by cardinality, then by the bitmap, the sum of
     2**(c*n + x - 1) over the elements xi^c(x), so the element with the largest
@@ -131,14 +134,12 @@ class OracleReport(_Value):
     """
 
     __slots__ = ("params", "stats", "scanned")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
     __hash__ = None  # type: ignore[assignment]
 
     def __init__(self, params: GroupParams, stats: dict[PinSet, PinStats], scanned: int) -> None:
-        self.params = params
-        self.stats = stats
-        self.scanned = scanned
+        _set(self, "params", params)
+        _set(self, "stats", stats)
+        _set(self, "scanned", scanned)
 
     @property
     def total_admissible(self) -> int:
@@ -159,6 +160,13 @@ def _word_stream(n: int, firsts: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
 
 
 def _elements(m: int, p: int, n: int, firsts: tuple[int, ...]) -> Iterator[GenPerm]:
+    """Each element of G(m,p,n) with leftmost magnitude in ``firsts``, once, in the walk's order.
+
+    The order is lexicographic on the magnitude word crossed with odometer
+    order on the color word (rightmost color fastest), restricted to color
+    sums divisible by p.  Only members are generated: the rightmost color
+    steps by p from the value that completes the sum to a multiple of p.
+    """
     # one shared ColoredValue per colored value the walk meets, values[x-1][c]
     # for xi^c(x): every color when n > 1, only the multiples of p when n = 1,
     # so the table never holds more values than the walk has elements
@@ -169,28 +177,6 @@ def _elements(m: int, p: int, n: int, firsts: tuple[int, ...]) -> Iterator[GenPe
         for head in itertools.product(range(m), repeat=n - 1):
             for last in range(-sum(head) % p, m, p):
                 yield GenPerm.from_word(m, [v[c] for v, c in zip(column, head + (last,))])
-
-
-def enumerate_group(g: GroupParams, budget: OracleBudget | None = None) -> Iterator[GenPerm]:
-    """Iterate over each element of G(m,p,n) exactly once, in the canonical order.
-
-    The order is lexicographic on the magnitude word crossed with odometer
-    order on the color word (rightmost color fastest), restricted to color
-    sums divisible by p.  Only members are generated: the rightmost color
-    steps by p from the value that completes the sum to a multiple of p.
-    The budget is checked at the call, before anything is iterated.
-    """
-    (budget or OracleBudget()).check(g, _order_partials(g))
-    return _elements(g.m, g.p, g.n, tuple(range(1, g.n + 1)))
-
-
-def witnesses_of(
-    P: PinSet, g: GroupParams, budget: OracleBudget | None = None
-) -> Iterator[GenPerm]:
-    """All elements of G(m,p,n) whose pinnacle set is exactly P."""
-    if P.m != g.m or P.n != g.n:
-        raise ValueError(f"set over ({P.m},{P.n}) scanned in {g}")
-    return (w for w in enumerate_group(g, budget) if pinnacle_set(w) == P)
 
 
 def _scan_reference(m: int, p: int, n: int, firsts: tuple[int, ...]) -> Counter:

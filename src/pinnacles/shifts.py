@@ -50,13 +50,3 @@ def shift_perm(w: GenPerm, s: ShiftParams) -> GenPerm:
         tuple(ColoredValue(cv.color + s.k, cv.magnitude) for cv in w.image),
     )
 
-
-def unshift_perm(w: GenPerm, s: ShiftParams) -> GenPerm | None:
-    """Invert the color shift; None when some color is below k (not in image)."""
-    if w.m != s.target_modulus or w.n != s.n:
-        raise ValueError(
-            f"permutation over ({w.m},{w.n}) unshifted with params ({s.target_modulus},{s.n})"
-        )
-    if any(cv.color < s.k for cv in w.image):
-        return None
-    return GenPerm(s.m, tuple(ColoredValue(cv.color - s.k, cv.magnitude) for cv in w.image))

@@ -34,7 +34,10 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Callable, Iterable, Iterator
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
+if TYPE_CHECKING:
+    from collections.abc import Callable, Iterable, Iterator
 
 # how an __init__ sets a field, past the frozen __setattr__
 _set = object.__setattr__
@@ -122,8 +125,9 @@ def check_value(cv: ColoredValue, m: int, n: int) -> None:
 
 def _coerce_value(value) -> ColoredValue:
     # a plain (color, magnitude) pair; callers pass ColoredValues through unchanged
+    # operator.index takes Python and numpy integers and rejects floats and strings
     color, magnitude = value
-    return ColoredValue(int(color), int(magnitude))
+    return ColoredValue(operator.index(color), operator.index(magnitude))
 
 
 class GenPerm(_Value):

@@ -43,7 +43,7 @@ def test_all_lists_exactly_the_bound_names():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     ]
     assert sorted(bound) == pinnacles.__all__
-    assert len(pinnacles.__all__) == len(set(pinnacles.__all__)) == 41
+    assert len(pinnacles.__all__) == len(set(pinnacles.__all__)) == 38
 
 
 def test_unknown_name_is_an_attribute_error():

@@ -542,6 +542,33 @@ class TestUsage:
             baseline = with_numpy if "numpy" in modules else bare
             assert not {"dataclasses", "inspect"} & (loaded - baseline), argv
 
+    def test_no_command_without_a_scan_imports_typing(self):
+        # annotations are never evaluated, so typing is for type checkers only;
+        # -S keeps site, and any .pth file it runs, from importing typing first
+        import os
+        import subprocess
+        import sys
+
+        import pinnacles
+
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(pinnacles.__file__))}
+        for argv in [
+            ("count", "--m", "4", "--p", "2", "--n", "7"),
+            ("check", "--m", "3", "--n", "10", "--set", "1:3,0:5,0:2"),
+            ("witness", "--m", "3", "--n", "10", "--set", "1:3"),
+            ("pinnacles", "--m", "2", "--n", "3", "--perm", "0:1 0:3 0:2"),
+            ("shift", "--m", "2", "--n", "3", "--k", "1", "--set", "0:1"),
+            ("table", "--m", "1..3", "--n", "3..5"),
+        ]:
+            proc = subprocess.run(
+                [sys.executable, "-S", "-X", "importtime", "-m", "pinnacles", *argv],
+                capture_output=True, text=True, env=env,
+            )
+            loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                      if line.startswith("import time:")}
+            assert proc.returncode == EXIT_OK and "pinnacles.cli" in loaded, argv
+            assert "typing" not in loaded, argv
+
     def test_missing_numpy_is_one_error_line(self, capsys):
         # only the vectorized engine imports numpy: without it, a scan that
         # auto sends there is one error line at exit 1, and walk scans and

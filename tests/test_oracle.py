@@ -12,13 +12,7 @@ import pytest
 
 from pinnacles import _vectorized, oracle, wreath
 from pinnacles.admissible import canonical_witness, is_admissible, max_pinnacles
-from pinnacles.oracle import (
-    BudgetExceeded,
-    OracleBudget,
-    collect_pinnacle_sets,
-    enumerate_group,
-    witnesses_of,
-)
+from pinnacles.oracle import BudgetExceeded, OracleBudget, collect_pinnacle_sets
 from pinnacles.wreath import (
     ColoredValue,
     GenPerm,
@@ -26,6 +20,7 @@ from pinnacles.wreath import (
     PinSet,
     color_sum,
     in_subgroup,
+    pinnacle_set,
 )
 
 CV = ColoredValue
@@ -39,16 +34,21 @@ def _merged(scan, g, parts):
     return tally
 
 
+def walk(m, p, n):
+    # every element of G(m,p,n) in the walk's order, as the reference engine visits them
+    return list(oracle._elements(m, p, n, tuple(range(1, n + 1))))
+
+
 class TestEnumeration:
     def test_orders(self):
-        assert len(list(enumerate_group(GroupParams(1, 1, 3)))) == 6
-        assert len(list(enumerate_group(GroupParams(2, 2, 3)))) == 24
-        assert len(list(enumerate_group(GroupParams(3, 1, 2)))) == 18
+        assert len(walk(1, 1, 3)) == 6
+        assert len(walk(2, 2, 3)) == 24
+        assert len(walk(3, 1, 2)) == 18
 
     def test_elements_unique_and_in_subgroup(self):
         for params in (GroupParams(2, 2, 3), GroupParams(3, 3, 3), GroupParams(4, 2, 2)):
             seen = set()
-            for w in enumerate_group(params):
+            for w in walk(params.m, params.p, params.n):
                 assert in_subgroup(w, params)
                 assert w not in seen
                 seen.add(w)
@@ -64,10 +64,10 @@ class TestEnumeration:
                 for colors in itertools.product(range(m), repeat=n)
                 if sum(colors) % p == 0
             ]
-            assert list(enumerate_group(GroupParams(m, p, n))) == expected, (m, p, n)
+            assert walk(m, p, n) == expected, (m, p, n)
 
     def test_canonical_stream_order(self):
-        stream = list(enumerate_group(GroupParams(2, 1, 2)))
+        stream = walk(2, 1, 2)
         # lexicographic words: magnitudes (1,2) before (2,1), colors odometer
         expected_head = [
             GenPerm.from_word(2, [(0, 1), (0, 2)]),
@@ -79,42 +79,35 @@ class TestEnumeration:
 
     def test_budget_refusal(self):
         with pytest.raises(BudgetExceeded) as info:
-            list(enumerate_group(GroupParams(3, 1, 7), OracleBudget(max_order=100)))
+            collect_pinnacle_sets(GroupParams(3, 1, 7), OracleBudget(max_order=100))
         assert info.value.required == 3**7 * 5040
 
-    def test_budget_refusal_at_the_call(self):
-        # nothing is iterated: the refusal comes before the first element
-        g, budget = GroupParams(9, 1, 12), OracleBudget(max_order=10)
+    def test_budget_refusal_at_the_call(self, monkeypatch):
+        # nothing is walked: the refusal comes before either engine runs
+        monkeypatch.setattr(oracle, "_scan_reference", None)
         with pytest.raises(BudgetExceeded):
-            enumerate_group(g, budget)
-        with pytest.raises(BudgetExceeded):
-            witnesses_of(PinSet(9, 12), g, budget)
+            collect_pinnacle_sets(GroupParams(9, 1, 12), OracleBudget(max_order=10), "reference")
 
 
 class TestWitnessStreams:
-    def test_degree_two_everything_witnesses_empty(self):
-        found = list(witnesses_of(PinSet(1, 2), GroupParams(1, 1, 2)))
-        assert len(found) == 2
+    # the witnesses of a set: the report's tally of them, or the walk filtered by pinnacle set
 
-    def test_inadmissible_set_has_no_witnesses(self):
+    def test_degree_two_everything_witnesses_empty(self, reports):
+        assert reports(1, 1, 2).stats[PinSet(1, 2)].witness_count == 2
+
+    def test_inadmissible_set_has_no_witnesses(self, reports):
         # same repeated-magnitude shape as the degree-7 example, shrunk to a
         # scannable group; the full-size group is a budget refusal instead
-        P = PinSet(4, 4, ((3, 3), (2, 3), (0, 1)))
-        assert list(witnesses_of(P, GroupParams(4, 1, 4))) == []
-        big = PinSet(5, 7, ((4, 3), (2, 3), (0, 1)))
+        assert PinSet(4, 4, ((3, 3), (2, 3), (0, 1))) not in reports(4, 1, 4).stats
         with pytest.raises(BudgetExceeded):
-            list(witnesses_of(big, GroupParams(5, 1, 7)))
+            collect_pinnacle_sets(GroupParams(5, 1, 7))
 
     def test_witnesses_have_low_one_low_shape(self):
         P = PinSet(1, 3, ((0, 1),))
-        found = list(witnesses_of(P, GroupParams(1, 1, 3)))
+        found = [w for w in walk(1, 1, 3) if pinnacle_set(w) == P]
         assert canonical_witness(P) in found
         for w in found:
             assert w.image[1] == CV(0, 1)
-
-    def test_ambient_mismatch(self):
-        with pytest.raises(ValueError):
-            list(witnesses_of(PinSet(2, 3), GroupParams(2, 1, 4)))
 
 
 class TestReports:

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pinnacles.admissible import canonical_witness, is_admissible, max_pinnacles
-from pinnacles.shifts import ShiftParams, shift_perm, shift_set, unshift_perm
+from pinnacles.shifts import ShiftParams, shift_perm, shift_set
 from pinnacles.wreath import ColoredValue, GenPerm, PinSet, color_sum
 
 CV = ColoredValue
@@ -74,26 +74,18 @@ class TestPermShift:
         assert color_sum(shift_perm(w, s)) == color_sum(w) + s.k * s.n
 
     @given(perm_and_shift())
-    def test_unshift_inverts(self, pair):
+    def test_shift_raises_each_color_by_k(self, pair):
+        # position by position: xi^c(x) goes to xi^(c+k)(x), so w can be read back
         w, s = pair
-        assert unshift_perm(shift_perm(w, s), s) == w
-
-    def test_unshift_detects_low_colors(self):
-        s = ShiftParams(2, 2, 3)
-        w = GenPerm(4, ((1, 1), (3, 2), (2, 3)))
-        assert unshift_perm(w, s) is None
-
-    def test_unshift_printed_example(self):
-        s = ShiftParams(5, 3, 5)
-        w = GenPerm.from_word(8, [(7, 5), (7, 3), (7, 4), (6, 2), (7, 1)])
-        assert str(unshift_perm(w, s)) == "xi^4(5) xi^4(3) xi^4(4) xi^3(2) xi^4(1)"
+        shifted = shift_perm(w, s)
+        assert shifted.m == s.target_modulus
+        for before, after in zip(w.image, shifted.image, strict=True):
+            assert after == CV(before.color + s.k, before.magnitude)
 
     def test_mismatch_errors(self):
         s = ShiftParams(2, 1, 3)
         with pytest.raises(ValueError):
             shift_perm(GenPerm.identity(3, 3), s)
-        with pytest.raises(ValueError):
-            unshift_perm(GenPerm.identity(2, 3), s)
 
 
 def admissible_sets(m, n):
