@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from itertools import accumulate, combinations, product
 from math import comb
-from operator import mul
+from operator import index, mul
 
 from . import wreath
 from .admissible import max_pinnacles
@@ -36,13 +36,16 @@ TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
     from .oracle import OracleBudget
 
-def _validate(m: int, n: int, d: int) -> None:
+def _validate(m: int, n: int, d: int) -> tuple[int, int, int]:
+    # Python and numpy integers pass as Python ints; floats and strings raise TypeError
+    m, n, d = index(m), index(n), index(d)
     if m < 1 or n < 1:
         raise ValueError(f"m and n must be positive, got m={m}, n={n}")
     if not 0 <= d <= max_pinnacles(n):
         raise ValueError(
             f"d={d} outside the valid range 0..{max_pinnacles(n)} for degree n={n}"
         )
+    return m, n, d
 
 
 class NegativeCount(ArithmeticError):
@@ -63,7 +66,7 @@ def _nonnegative(method: str, m: int, n: int, d: int, value: int) -> int:
 
 def count_recursion_m(m: int, n: int, d: int) -> int:
     """Recursion in the modulus, splitting on how many pinnacles use color 0."""
-    _validate(m, n, d)
+    m, n, d = _validate(m, n, d)
     # Every cell the recursion reaches is (m', n - d + e, e) with e <= d, since
     # each step lowers degree and cardinality together: one vector over e per
     # modulus holds them all, built up from m' = 1; the top needs only e = d.
@@ -86,7 +89,7 @@ def count_recursion_m(m: int, n: int, d: int) -> int:
 
 def count_recursion_n(m: int, n: int, d: int) -> int:
     """Recursion in the degree: drop one letter, a pinnacle or not."""
-    _validate(m, n, d)
+    m, n, d = _validate(m, n, d)
     # Evaluated on the formal extension to every d >= 0: the degree recursion
     # momentarily steps past the cardinality cap of the smaller degree, where
     # the value is the same alternating partial sum continued.  Intermediate
@@ -102,7 +105,7 @@ def count_recursion_n(m: int, n: int, d: int) -> int:
 
 def count_closed_alternating(m: int, n: int, d: int) -> int:
     """Alternating partial binomial sum: sum_i C(n,i) m^i (-1)^(i+d)."""
-    _validate(m, n, d)
+    m, n, d = _validate(m, n, d)
     # from the top term C(n,d) m^d down, each C(n,i-1) m^(i-1) by exact ratio
     term = comb(n, d) * m**d
     value, sign = term, 1
@@ -115,7 +118,7 @@ def count_closed_alternating(m: int, n: int, d: int) -> int:
 
 def count_closed_positive(m: int, n: int, d: int) -> int:
     """All-nonnegative form: sum_k (m-1)^k C(n,k) C(n-k-1, d-k)."""
-    _validate(m, n, d)
+    m, n, d = _validate(m, n, d)
     # each term from the previous one by the exact ratio
     # (m-1)(n-k)(d-k) / ((k+1)(n-k-1)); every term is 0 once one is
     term = comb(n - 1, d)
@@ -154,7 +157,7 @@ def count_pinnacle_sets(m: int, n: int, d: int | None = None, method: str = DEFA
     """Admissible pinnacle sets of size <= d in Z_m wr S_n (d defaults to the cap)."""
     if d is None:
         d = max_pinnacles(n)
-    _validate(m, n, d)
+    m, n, d = _validate(m, n, d)
     if method == "all":
         values = {name: fn(m, n, d) for name, fn in METHODS.items()}
         if len(set(values.values())) != 1:

@@ -24,8 +24,10 @@ robin over their leftmost magnitude; partial tallies merge by summing
 counts, so reports are identical whatever the block size and partitioning.
 
 The vectorized engine's code is the private module _vectorized, which is
-imported with numpy when a scan runs, and the process pool only for a
-parallel scan, so importing the package loads none of them.
+imported with numpy when a scan uses it, and the process pool only for a
+parallel scan, so importing the package loads none of them.  A process that
+has not imported numpy walks small groups instead, up to a total that costs
+less than importing numpy (``_engine``).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+import sys
 from collections import Counter
 
 from .admissible import max_pinnacles
@@ -41,12 +44,25 @@ from .wreath import _set, _Value
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
-    from collections.abc import Iterable, Iterator
+    from collections.abc import Callable, Iterable, Iterator
 
 DEFAULT_MAX_ORDER = 10_000_000
 
 # the vectorized engine's lookup tables hold at most this many entries
 _TABLE = 2**27
+
+# A process without numpy walks groups of at most this many colored values
+# in all (order * n, the values the walk builds) rather than import numpy for
+# the vectorized engine; the next scan that would pass it imports numpy, so
+# the walks never cost much more than one import.  One scan per fresh
+# process, Python 3.11.7 without bytecode cache on a shared 2-vCPU Xeon, walk
+# against vectorized: 45 against 107 ms at 1,536 values, 74 against 107 at
+# 19,200, 96 against 108 at 35,280 and 124 against 109 at 48,600, whatever m;
+# the walk is the slower one from about 40,000 values on.
+_COLD_WALK = 20_000
+# colored values walked so far instead of importing numpy; process-wide, like
+# the import it stands in for (threads racing on it cost time, not results)
+_cold_walked = 0
 
 
 class BudgetExceeded(RuntimeError):
@@ -206,7 +222,8 @@ def _fits(g: GroupParams) -> bool:
     other int64 values (the color side's cell, the word side's counter index
     and every count, which the group order bounds) then stay below 2**62 too;
     a test checks every group that passes.  The rule lives here, not in
-    _vectorized, so that a scan that falls back never loads numpy.
+    _vectorized, so that a scan that walks, because it falls back or because
+    it is small in a process without numpy, never loads numpy.
     """
     m, n = g.m, g.n
     # checked first: it keeps m*n <= 61, and so both tables, small
@@ -217,6 +234,29 @@ def _fits(g: GroupParams) -> bool:
     return (n + 1) ** max_pinnacles(n) <= _TABLE
 
 
+def _engine(g: GroupParams, engine: str) -> Callable[..., Counter]:
+    """The scan that ``collect_pinnacle_sets`` runs on g for ``engine``.
+
+    "reference" always walks.  "auto" runs the vectorized engine where
+    ``_fits`` holds and walks elsewhere.  While numpy is not imported in this
+    process (or cannot be), "auto" also walks a group whose colored values,
+    added to those it has walked so far for that reason, stay within
+    _COLD_WALK, since those walks cost less than the import.
+    """
+    global _cold_walked
+    if engine not in ("auto", "reference"):
+        raise ValueError(f"unknown engine {engine!r}")
+    if engine == "reference" or not _fits(g):
+        return _scan_reference
+    values = g.order * g.n
+    if sys.modules.get("numpy") is None and _cold_walked + values <= _COLD_WALK:
+        _cold_walked += values
+        return _scan_reference
+    from ._vectorized import scan  # like numpy, loaded only when a scan uses it
+
+    return scan
+
+
 def collect_pinnacle_sets(
     g: GroupParams,
     budget: OracleBudget | None = None,
@@ -225,26 +265,24 @@ def collect_pinnacle_sets(
 ) -> OracleReport:
     """Scan all of G(m,p,n) and report every pinnacle set it realizes.
 
-    ``engine`` is "auto" or "reference".  Auto picks the vectorized engine
-    where ``_fits`` holds and the reference walk elsewhere (huge m with tiny
-    n, or huge n).  Each engine builds only the members of G(m,p,n) and tallies
-    those with leftmost magnitude in ``firsts`` by (bitmap of the pinnacle
-    set, color sum), bit c*n + x - 1 marking xi^c(x).  A serial scan, or a
-    parallel one under the default budget, is one engine call; otherwise the
-    leftmost magnitudes split round robin into ``min(budget.partitions, n)``
-    parts, one process each (at most 8), whose tallies merge by
-    Counter.update.  Reports are identical either way.  The tally is grouped
-    by bitmap; the bitmaps sorted by (cardinality, bitmap) are the print order,
-    each histogram is sorted by color sum, and each set is read off one shared
-    ColoredValue per bit, made only up to the highest bit any bitmap sets.
+    ``engine`` is "auto" or "reference", and ``_engine`` picks the scan:
+    the vectorized engine where ``_fits`` holds, unless small groups walk
+    in a process without numpy, and the reference walk elsewhere (huge m
+    with tiny n, or huge n).  Each engine builds only the members of
+    G(m,p,n) and tallies those with leftmost magnitude in ``firsts`` by
+    (bitmap of the pinnacle set, color sum), bit c*n + x - 1 marking xi^c(x).
+    A serial scan, or a parallel one under the default budget, is one engine
+    call; otherwise the leftmost magnitudes split round robin into
+    ``min(budget.partitions, n)`` parts, one process each (at most 8), whose
+    tallies merge by Counter.update.  Reports are identical either way.  The
+    tally is grouped by bitmap; the bitmaps sorted by (cardinality, bitmap)
+    are the print order, each histogram is sorted by color sum, and each set
+    is read off one shared ColoredValue per bit, made only up to the highest
+    bit any bitmap sets.
     """
     budget = budget or OracleBudget()
     budget.check(g, _order_partials(g))
-    if engine not in ("auto", "reference"):
-        raise ValueError(f"unknown engine {engine!r}")
-    scan = _scan_reference
-    if engine == "auto" and _fits(g):
-        from ._vectorized import scan  # like numpy, loaded only when a scan uses it
+    scan = _engine(g, engine)
     chunks = min(budget.partitions, g.n)
     if parallel and chunks > 1:
         from concurrent.futures import ProcessPoolExecutor

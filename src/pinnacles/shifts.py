@@ -8,6 +8,8 @@ entrywise relabeling, not a group homomorphism, and no such law is assumed.
 
 from __future__ import annotations
 
+import operator
+
 from .wreath import ColoredValue, GenPerm, PinSet, _set, _Value
 
 
@@ -17,6 +19,7 @@ class ShiftParams(_Value):
     __slots__ = ("m", "k", "n")
 
     def __init__(self, m: int, k: int, n: int) -> None:
+        m, k, n = operator.index(m), operator.index(k), operator.index(n)
         _set(self, "m", m)
         _set(self, "k", k)
         _set(self, "n", n)

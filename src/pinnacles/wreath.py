@@ -141,6 +141,7 @@ class GenPerm(_Value):
 
     def __init__(self, m: int, image: Iterable) -> None:
         image = tuple([v if isinstance(v, ColoredValue) else _coerce_value(v) for v in image])
+        m = operator.index(m)
         _set(self, "m", m)
         _set(self, "image", image)
         n = len(image)
@@ -225,6 +226,7 @@ class GroupParams(_Value):
     __slots__ = ("m", "p", "n")
 
     def __init__(self, m: int, p: int, n: int) -> None:
+        m, p, n = operator.index(m), operator.index(p), operator.index(n)
         _set(self, "m", m)
         _set(self, "p", p)
         _set(self, "n", n)
@@ -259,6 +261,7 @@ class PinSet(_Value):
     __slots__ = ("m", "n", "elements")
 
     def __init__(self, m: int, n: int, elements: Iterable = ()) -> None:
+        m, n = operator.index(m), operator.index(n)
         elems = {v if isinstance(v, ColoredValue) else _coerce_value(v) for v in elements}
         elems = tuple(sorted(elems, key=value_key(m)))
         _set(self, "m", m)

@@ -499,7 +499,8 @@ class TestUsage:
 
     def test_only_scans_load_numpy(self):
         # each command, as its own process, loads only the package modules it
-        # runs; numpy only with a scan, the process pool with none of these, and
+        # runs; numpy only with a scan above the walk bound (G(2,1,4) has 1,536
+        # colored values, G(2,1,6) 276,480), the process pool with none of these, and
         # dataclasses and inspect with none, unless a bare interpreter (site, a
         # .pth file) or, for a scan, numpy's own import already loads them
         import subprocess
@@ -530,7 +531,8 @@ class TestUsage:
             ("shift", "--m", "2", "--n", "3", "--k", "1", "--set", "0:1"):
                 [*base, "pinnacles.shifts"],
             ("table", "--m", "1..3", "--n", "3..5"): [*decide, "pinnacles.counting"],
-            ("oracle", "--m", "2", "--n", "4"):
+            ("oracle", "--m", "2", "--n", "4"): [*decide, "pinnacles.oracle"],
+            ("oracle", "--m", "2", "--n", "6"):
                 [*decide, "pinnacles.oracle", "pinnacles._vectorized", "numpy"],
         }
         for argv, modules in expected.items():
@@ -571,8 +573,9 @@ class TestUsage:
 
     def test_missing_numpy_is_one_error_line(self, capsys):
         # only the vectorized engine imports numpy: without it, a scan that
-        # auto sends there is one error line at exit 1, and walk scans and
-        # every other command run as before
+        # auto sends there (above the walk bound) is one error line at exit 1,
+        # and walk scans, small groups included, and every other command
+        # print what they print with numpy
         import subprocess
         import sys
 
@@ -589,11 +592,14 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(runs))
 """
         scans = [
+            ["oracle", "--m", "2", "--n", "6"],
+            ["oracle", "--m", "2", "--n", "6", "--parallel"],
+            ["oracle", "--m", "6", "--p", "3", "--n", "4", "--diff", "--format", "json"],
+        ]
+        others = [
             ["oracle", "--m", "2", "--n", "4"],
             ["oracle", "--m", "2", "--n", "4", "--parallel"],
             ["oracle", "--m", "6", "--p", "3", "--n", "3", "--diff", "--format", "json"],
-        ]
-        others = [
             ["oracle", "--m", "19", "--n", "3"],
             ["count", "--m", "3", "--n", "10"],
             ["count", "--m", "4", "--p", "2", "--n", "7"],

@@ -184,6 +184,20 @@ class TestDispatch:
         with pytest.raises(ValueError):
             count_total(3, 1)
 
+    def test_parameters_must_be_integers(self):
+        # every route takes m, n and d through operator.index: a float raises
+        # TypeError, and a numpy integer counts as a Python int, so no term of
+        # a sum wraps around in int64
+        for fn in (*counting.METHODS.values(), count_pinnacle_sets):
+            for args in ((2.0, 5, 2), (2, 5.0, 2), (2, 5, 2.0)):
+                with pytest.raises(TypeError):
+                    fn(*args)
+        with pytest.raises(TypeError):
+            count_total(2.0, 5)
+        import numpy as np
+
+        assert count_total(np.int64(3), 40) == count_total(3, 40) > 2**63
+
 
 class TestComplexCounts:
     def test_divisibility_enforced(self):

@@ -212,7 +212,7 @@ class TestEnginesAndPartitioning:
     def test_reference_and_vectorized_agree(self):
         for m, p, n in self.GRIDS:
             g = GroupParams(m, p, n)
-            assert oracle._fits(g), g  # so auto runs the vectorized engine
+            assert oracle._engine(g, "auto") is _vectorized.scan, g
             assert collect_pinnacle_sets(g, engine="reference") == collect_pinnacle_sets(
                 g, engine="auto"
             ), (m, p, n)
@@ -226,7 +226,7 @@ class TestEnginesAndPartitioning:
         monkeypatch.setattr(wreath, "value_key", top_asc)
         for m, p, n in [(2, 2, 6), (3, 1, 5), (3, 3, 5)]:
             g = GroupParams(m, p, n)
-            assert oracle._fits(g), g
+            assert oracle._engine(g, "auto") is _vectorized.scan, g
             reference = collect_pinnacle_sets(g, engine="reference")
             vectorized = collect_pinnacle_sets(g, engine="auto")
             assert vectorized == reference, (m, p, n)
@@ -244,7 +244,7 @@ class TestEnginesAndPartitioning:
 
         monkeypatch.setattr(wreath, "value_key", top_asc)
         for m, p, n in [(2, 1, 5), (2, 2, 6)]:
-            assert oracle._fits(GroupParams(m, p, n))  # auto is the vectorized engine
+            assert oracle._engine(GroupParams(m, p, n), "auto") is _vectorized.scan
             for engine in ("reference", "auto"):
                 listed = list(collect_pinnacle_sets(GroupParams(m, p, n), engine=engine).stats)
                 assert listed == sorted(listed, key=size_and_bitmap), (m, p, n, engine)
@@ -322,7 +322,7 @@ class TestEnginesAndPartitioning:
 
         for m, p, n in self.GRIDS:
             g = GroupParams(m, p, n)
-            assert oracle._fits(g), g  # so auto runs the vectorized engine
+            assert oracle._engine(g, "auto") is _vectorized.scan, g
             for engine, scan in (("reference", oracle._scan_reference), ("auto", _vectorized.scan)):
                 expected = sorted_groupby(g, scan(m, p, n, tuple(range(1, n + 1))))
                 got = collect_pinnacle_sets(g, engine=engine).stats
@@ -386,22 +386,116 @@ class TestEnginesAndPartitioning:
             assert oracle._fits(g) == six_check_fits(g), g
 
     def test_only_vectorized_scans_load_numpy(self):
-        # a reference scan, and an auto scan that falls back, load neither
-        # numpy nor the vectorized engine; an auto scan that fits loads both
+        # a reference scan, an auto scan that falls back, and an auto scan of
+        # a group under the walk bound in a process without numpy load neither
+        # numpy nor the vectorized engine; an auto scan above the bound loads
+        # both, and so does the fifth of five auto scans of G(1,1,6) (4,320
+        # colored values each), which would take the walks past the bound
         script = """
 import json, sys
 from pinnacles.oracle import collect_pinnacle_sets
 from pinnacles.wreath import GroupParams
 heavy = ("numpy", "pinnacles._vectorized")
 loaded = []
-for g, engine in (((2, 1, 4), "reference"), ((19, 1, 3), "auto"), ((2, 1, 4), "auto")):
+for g, engine in json.loads(sys.argv[1]):
     collect_pinnacle_sets(GroupParams(*g), engine=engine)
     loaded.append([mod for mod in heavy if mod in sys.modules])
 print(json.dumps(loaded))
 """
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout) == [[], [], ["numpy", "pinnacles._vectorized"]]
+        both = ["numpy", "pinnacles._vectorized"]
+        runs = [
+            ([((2, 1, 4), "reference"), ((19, 1, 3), "auto"), ((2, 1, 4), "auto"),
+              ((2, 1, 6), "auto")], [[], [], [], both]),
+            ([((1, 1, 6), "auto")] * 5, [[], [], [], [], both]),
+        ]
+        for scans, expected in runs:
+            proc = subprocess.run([sys.executable, "-c", script, json.dumps(scans)],
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout) == expected, scans
+
+    def test_engine_rule_at_the_walk_bound(self):
+        # G(2,1,5) has 3840 * 5 = 19,200 colored values, the most of any group
+        # under the bound that _fits admits; G(15,3,3), with 20,250, the fewest
+        # above it.  With the bound moved to 19,200 and to 19,199, G(2,1,5)
+        # sits at the bound and one value above it.  With numpy loaded, auto
+        # runs the vectorized engine wherever _fits holds; in a fresh process
+        # it walks while the values walked so far stay within the bound, until
+        # numpy is imported; with numpy blocked the vectorized engine's import
+        # fails.  "reference", and a group where _fits fails, walk in every
+        # case and count nothing against the bound
+        assert GroupParams(2, 1, 5).order * 5 == 19_200 <= oracle._COLD_WALK
+        assert GroupParams(15, 3, 3).order * 3 == 20_250 > oracle._COLD_WALK
+        assert GroupParams(1, 1, 6).order * 6 == 4_320
+        assert not oracle._fits(GroupParams(19, 1, 3))
+        script = """
+import json, sys
+if sys.argv[1] == "loaded":
+    import numpy
+elif sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None  # as if numpy were not installed
+from pinnacles import oracle
+from pinnacles.wreath import GroupParams
+default, picked = oracle._COLD_WALK, []
+for g, bound, spent, engine in json.loads(sys.argv[2]):
+    oracle._COLD_WALK = default if bound is None else bound
+    if spent is not None:
+        oracle._cold_walked = spent
+    try:
+        scan = oracle._engine(GroupParams(*g), engine)
+        picked.append(f"{scan.__module__}.{scan.__name__}")
+    except ImportError:
+        picked.append("error")
+    picked.append(oracle._cold_walked)
+print(json.dumps(picked))
+"""
+        cases = [  # group, bound (None: the module's), values walked before (None: as left), engine
+            ((2, 1, 5), 19_200, 0, "auto"), ((2, 1, 5), None, 0, "auto"),
+            ((2, 1, 5), None, None, "reference"), ((19, 1, 3), 10**9, None, "auto"),
+            # four scans of 4,320 values walk, the fifth would pass the bound
+            ((1, 1, 6), None, 0, "auto"), ((1, 1, 6), None, None, "auto"),
+            ((1, 1, 6), None, None, "auto"), ((1, 1, 6), None, None, "auto"),
+            ((1, 1, 6), None, None, "auto"),
+            ((2, 1, 5), 19_199, 0, "auto"), ((15, 3, 3), None, 0, "auto"),
+            ((2, 1, 5), None, 0, "auto"),  # after a vectorized scan has loaded numpy
+        ]
+        walk, vec = "pinnacles.oracle._scan_reference", "pinnacles._vectorized.scan"
+        picks = {
+            "loaded": [vec, 0, vec, 0, walk, 0, walk, 0, vec, 0, vec, 0, vec, 0, vec, 0,
+                       vec, 0, vec, 0, vec, 0, vec, 0],
+            "fresh": [walk, 19_200, walk, 19_200, walk, 19_200, walk, 19_200,
+                      walk, 4_320, walk, 8_640, walk, 12_960, walk, 17_280, vec, 17_280,
+                      vec, 0, vec, 0, vec, 0],
+            "blocked": [walk, 19_200, walk, 19_200, walk, 19_200, walk, 19_200,
+                        walk, 4_320, walk, 8_640, walk, 12_960, walk, 17_280,
+                        "error", 17_280, "error", 0, "error", 0, walk, 19_200],
+        }
+        for mode, expected in picks.items():
+            proc = subprocess.run([sys.executable, "-c", script, mode, json.dumps(cases)],
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            assert json.loads(proc.stdout) == expected, mode
+
+    def test_engines_agree_on_every_group_a_fresh_process_walks(self):
+        # the groups where _fits holds with at most _COLD_WALK colored values,
+        # which auto walks in a process without numpy and scans vectorized in
+        # one with it; _fits keeps m*n <= 61, so the grid below holds them all
+        groups = [
+            GroupParams(m, p, n)
+            for m in range(1, 62)
+            for n in range(1, 61 // m + 1)
+            for p in range(1, m + 1)
+            if m % p == 0
+        ]
+        walked = [g for g in groups if oracle._fits(g) and g.order * g.n <= oracle._COLD_WALK]
+        assert len(walked) == 397
+        assert sum(g.order * g.n for g in walked) == 365_178
+        for g in walked:
+            assert oracle._engine(g, "auto") is _vectorized.scan, g
+            reference = collect_pinnacle_sets(g, engine="reference")
+            vectorized = collect_pinnacle_sets(g, engine="auto")
+            assert vectorized == reference, g
+            assert list(vectorized.stats) == list(reference.stats), g
 
     def test_unknown_engine(self):
         with pytest.raises(ValueError):

@@ -87,6 +87,12 @@ class TestPermShift:
         with pytest.raises(ValueError):
             shift_perm(GenPerm.identity(3, 3), s)
 
+    def test_parameters_must_be_integers(self):
+        # m, k and n pass through operator.index: a float or a string raises
+        for args in ((2.0, 1, 3), (2, 1.0, 3), (2, 1, 3.0), (2, "1", 3)):
+            with pytest.raises(TypeError):
+                ShiftParams(*args)
+
 
 def admissible_sets(m, n):
     universe = [CV(c, x) for c in range(m) for x in range(1, n + 1)]

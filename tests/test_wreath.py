@@ -391,6 +391,26 @@ class TestValueChecks:
         assert PinSet(2, 3, [(np.int64(1), np.int8(2))]) == PinSet(2, 3, [(1, 2)])
         assert GenPerm(2, [(np.int64(1), np.uint16(1))]) == GenPerm(2, [(1, 1)])
 
+    def test_ambient_parameters_must_be_integers(self):
+        # m, p and n pass through operator.index as the pairs do: a float or a
+        # string raises, and numpy integers are stored as Python ints
+        for bad in (2.0, 2.5, "2"):
+            for args in ((bad, 1, 2), (2, bad, 2), (2, 1, bad)):
+                with pytest.raises(TypeError):
+                    GroupParams(*args)
+            with pytest.raises(TypeError):
+                PinSet(bad, 3, [(0, 1)])
+            with pytest.raises(TypeError):
+                PinSet(2, bad, [(0, 1)])
+            with pytest.raises(TypeError):
+                GenPerm(bad, [(0, 1)])
+        import numpy as np
+
+        g = GroupParams(np.int64(2), np.int8(1), np.uint16(3))
+        assert g == GroupParams(2, 1, 3) and type(g.order) is int
+        assert type(PinSet(np.int64(2), np.int64(3), [(0, 1)]).n) is int
+        assert type(GenPerm(np.int64(2), [(0, 1)]).m) is int
+
 
 W = GenPerm(2, ((1, 2), (0, 1)))
 W_TEXT = ("GenPerm(m=2, image=(ColoredValue(color=1, magnitude=2), "
