@@ -2,7 +2,8 @@
 
 Three characterizations give three deciders.  A, the production one: a set
 is admissible exactly when the canonical witness built from it has the set
-as its pinnacles, a single O(n) scan.  B, a counting inequality: the j
+as its pinnacles, that is, when its peaks are the positions holding the
+set's elements, a single O(n) scan.  B, a counting inequality: the j
 lowest elements find enough unused magnitudes below them for their j+1
 neighbors.  C, a reduction: only the top-color slice can fail, so A decides
 that slice alone.  B and C exist so the characterizations can be
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from . import wreath
-from .wreath import ColoredValue, GenPerm, PinSet, _set, _Value, pinnacle_set
+from .wreath import ColoredValue, GenPerm, PinSet, _set, _Value
 
 
 class AdmissibilityError(ValueError):
@@ -66,11 +67,12 @@ def canonical_witness(P: PinSet) -> GenPerm:
     violation = _violation(P)
     if violation is not None:
         raise violation
-    used = P.magnitude_set()
-    fillers = sorted((ColoredValue(P.m - 1, x) for x in range(1, P.n + 1) if x not in used),
+    used, top = P.magnitude_set(), P.m - 1
+    fillers = sorted([ColoredValue(top, x) for x in range(1, P.n + 1) if x not in used],
                      key=wreath.value_key(P.m))
     word = [v for pair in zip(fillers, P.elements) for v in pair] + fillers[len(P) :]
-    return GenPerm.from_word(P.m, word)
+    word.reverse()  # the image, position 1 first
+    return GenPerm(P.m, word)
 
 
 class Admissibility(_Value):
@@ -97,7 +99,9 @@ def admissibility(P: PinSet) -> Admissibility:
         witness = canonical_witness(P)
     except AdmissibilityError as violation:
         return Admissibility(False, violation.code, str(violation))
-    if pinnacle_set(witness) != P:
+    # P's elements sit at positions n-1, n-3, ..., n-2d+1 of the witness and
+    # only there, so it realizes P exactly when those positions are its peaks
+    if wreath.peaks(witness) != frozenset(range(P.n - 1, P.n - 2 * len(P), -2)):
         return Admissibility(False, "no-witness", "canonical witness does not realize the set")
     return Admissibility(True, witness=witness)
 

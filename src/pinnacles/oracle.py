@@ -90,6 +90,7 @@ class OracleBudget(_Value):
     __slots__ = ("max_order", "partitions")
 
     def __init__(self, max_order: int = DEFAULT_MAX_ORDER, partitions: int = 1) -> None:
+        max_order, partitions = operator.index(max_order), operator.index(partitions)
         _set(self, "max_order", max_order)
         _set(self, "partitions", partitions)
         if max_order < 1 or partitions < 1:

@@ -15,9 +15,11 @@ so the plain integers sit on top, reversed.  A pinnacle of w is a value
 strictly above both word neighbors under this order.  Values themselves are
 unordered: every comparison goes through the key of the modulus at hand, so
 an order that depends on m needs no change outside ``value_key``; slots do
-not give ColoredValue one.  GenPerm and PinSet check their values in one pass
-with ``check_value``'s comparisons inline, and call it only on the first value
-that fails, so a rejection names that value.
+not give ColoredValue one.  GenPerm coerces plain pairs only when some value
+is not already a ColoredValue; PinSet coerces them as it collects its set.
+Both check their values in one pass with ``check_value``'s comparisons
+inline, and call it only on the first value that fails, so a rejection names
+that value.
 
 Value semantics live in one private base, ``_Value``, which every value type
 of the package derives from: fields named by ``__slots__``, equality and
@@ -87,8 +89,8 @@ class ColoredValue(_Value):
     __slots__ = ("color", "magnitude")
 
     def __init__(self, color: int, magnitude: int) -> None:
-        _set(self, "color", color)
-        _set(self, "magnitude", magnitude)
+        _set_color(self, color)
+        _set_magnitude(self, magnitude)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -100,6 +102,10 @@ class ColoredValue(_Value):
 
     def __str__(self) -> str:
         return f"xi^{self.color}({self.magnitude})"
+
+
+# the slot descriptors' setters, bound once: cheaper per value than _set's lookup by name
+_set_color, _set_magnitude = ColoredValue.color.__set__, ColoredValue.magnitude.__set__
 
 
 def _documented_key(cv: ColoredValue) -> tuple[int, int]:
@@ -140,7 +146,9 @@ class GenPerm(_Value):
     __slots__ = ("m", "image")
 
     def __init__(self, m: int, image: Iterable) -> None:
-        image = tuple([v if isinstance(v, ColoredValue) else _coerce_value(v) for v in image])
+        image = tuple(image)
+        if not all(map(ColoredValue.__instancecheck__, image)):
+            image = tuple([v if isinstance(v, ColoredValue) else _coerce_value(v) for v in image])
         m = operator.index(m)
         _set(self, "m", m)
         _set(self, "image", image)
@@ -207,12 +215,15 @@ def inverse(w: GenPerm) -> GenPerm:
 
 def peaks(w: GenPerm) -> frozenset[int]:
     """Positions j in 2..n-1 whose value sits strictly above both neighbors."""
-    keys = list(map(value_key(w.m), w.image))
-    return frozenset(
-        j
-        for j in range(2, w.n)
-        if keys[j - 2] < keys[j - 1] > keys[j]
-    )
+    # one pass, mid at position j; the first value is its own left neighbor, never a peak
+    keys = map(value_key(w.m), w.image)
+    left = mid = next(keys)
+    found = []
+    for j, right in enumerate(keys, start=1):
+        if left < mid > right:
+            found.append(j)
+        left, mid = mid, right
+    return frozenset(found)
 
 
 def color_sum(w: GenPerm) -> int:

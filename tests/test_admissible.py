@@ -8,6 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pinnacles.admissible import (
+    Admissibility,
+    AdmissibilityError,
     CardinalityViolation,
     MultiplicityViolation,
     admissibility,
@@ -28,6 +30,20 @@ def subsets_up_to_cap(m, n):
     for size in range(cap + 1):
         for combo in itertools.combinations(universe, size):
             yield PinSet(m, n, combo)
+
+
+def seeded_large_sets():
+    # beyond the scannable grid: free sets spread over 1..n and crowded
+    # ones packed near the bottom, where B's inequality is tight
+    rng = random.Random(14)
+    for i in range(2000):
+        m, n = rng.randint(2, 9), rng.randint(10, 200)
+        cap = max_pinnacles(n)
+        if i % 2:
+            mags = rng.sample(range(1, 2 * cap + 2), rng.randint(cap // 2, cap))
+        else:
+            mags = rng.sample(range(1, n + 1), rng.randint(0, cap))
+        yield PinSet(m, n, tuple((rng.choice((m - 1, rng.randrange(m))), x) for x in mags))
 
 
 @st.composite
@@ -110,9 +126,26 @@ class TestWitnessDecider:
         assert pinnacle_set(result.witness) == PinSet(3, 10, ((1, 3), (0, 5), (0, 2)))
 
     def test_admissible_iff_witness_realizes(self):
-        for P in subsets_up_to_cap(2, 5):
-            if is_admissible(P):
-                assert pinnacle_set(canonical_witness(P)) == P
+        # A against its definition: P is admissible exactly when its canonical
+        # witness exists and has P as its pinnacle set, and the outcome carries
+        # that witness or the reason there is none
+        grid = [P for m, n in [(1, 7), (2, 6), (3, 5), (4, 5)] for P in subsets_up_to_cap(m, n)]
+        verdicts = set()
+        for P in itertools.chain(grid, seeded_large_sets()):
+            try:
+                witness = canonical_witness(P)
+            except AdmissibilityError as violation:
+                expected = Admissibility(False, violation.code, str(violation))
+            else:
+                if pinnacle_set(witness) == P:
+                    expected = Admissibility(True, witness=witness)
+                else:
+                    expected = Admissibility(
+                        False, "no-witness", "canonical witness does not realize the set"
+                    )
+            assert admissibility(P) == expected, str(P)
+            verdicts.add(expected.code)
+        assert verdicts == {None, "no-witness", "repeated-magnitude"}
 
 
 class TestDeciderAgreement:
@@ -159,18 +192,8 @@ class TestDeciderAgreement:
             assert is_admissible_rec(P) == is_admissible_top(P) == is_admissible(P), str(P)
 
     def test_deciders_agree_on_seeded_large_sets(self):
-        # beyond the scannable grid: free sets spread over 1..n and crowded
-        # ones packed near the bottom, where B's inequality is tight
-        rng = random.Random(14)
         verdicts = set()
-        for i in range(2000):
-            m, n = rng.randint(2, 9), rng.randint(10, 200)
-            cap = max_pinnacles(n)
-            if i % 2:
-                mags = rng.sample(range(1, 2 * cap + 2), rng.randint(cap // 2, cap))
-            else:
-                mags = rng.sample(range(1, n + 1), rng.randint(0, cap))
-            P = PinSet(m, n, tuple((rng.choice((m - 1, rng.randrange(m))), x) for x in mags))
+        for P in seeded_large_sets():
             a = is_admissible(P)
             assert is_admissible_rec(P) == is_admissible_top(P) == a, str(P)
             verdicts.add(a)

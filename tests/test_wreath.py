@@ -324,6 +324,10 @@ def raw_values(draw):
     return m, values
 
 
+def as_lists(raw):
+    return [v if isinstance(v, CV) else list(v) for v in raw]
+
+
 def outcome(build):
     try:
         return build()
@@ -365,19 +369,24 @@ def per_value_pin_set(m, n, raw):
 class TestValueChecks:
     # GenPerm and PinSet test their values inline and call check_value only to
     # raise; they must accept and reject exactly as a loop that checks value by
-    # value does, with its exception and message
+    # value does, with its exception and message, also when the values come
+    # from a one-shot iterator or the plain pairs are [c, x] lists, unhashable
 
     @given(raw_values())
     def test_gen_perm_matches_the_per_value_loop(self, drawn):
         m, raw = drawn
-        assert outcome(lambda: GenPerm(m, raw).image) == outcome(lambda: per_value_gen_perm(m, raw))
+        expected = outcome(lambda: per_value_gen_perm(m, raw))
+        assert outcome(lambda: GenPerm(m, raw).image) == expected
+        assert outcome(lambda: GenPerm(m, iter(raw)).image) == expected
+        assert outcome(lambda: GenPerm(m, as_lists(raw)).image) == expected
 
     @given(raw_values(), st.integers(1, 5))
     def test_pin_set_matches_the_per_value_loop(self, drawn, n):
         m, raw = drawn
-        assert outcome(lambda: PinSet(m, n, raw).elements) == outcome(
-            lambda: per_value_pin_set(m, n, raw)
-        )
+        expected = outcome(lambda: per_value_pin_set(m, n, raw))
+        assert outcome(lambda: PinSet(m, n, raw).elements) == expected
+        assert outcome(lambda: PinSet(m, n, iter(raw)).elements) == expected
+        assert outcome(lambda: PinSet(m, n, as_lists(raw)).elements) == expected
 
     def test_plain_pairs_must_hold_integers(self):
         # a float or a string is neither truncated nor parsed
@@ -410,6 +419,20 @@ class TestValueChecks:
         assert g == GroupParams(2, 1, 3) and type(g.order) is int
         assert type(PinSet(np.int64(2), np.int64(3), [(0, 1)]).n) is int
         assert type(GenPerm(np.int64(2), [(0, 1)]).m) is int
+
+    def test_budget_caps_must_be_integers(self):
+        # checked when the budget is built, not first inside OracleBudget.check
+        # or a parallel scan's range
+        for bad in (2.5e6, 2.0, "2"):
+            with pytest.raises(TypeError):
+                OracleBudget(max_order=bad)
+            with pytest.raises(TypeError):
+                OracleBudget(partitions=bad)
+        import numpy as np
+
+        budget = OracleBudget(max_order=np.int64(1000), partitions=np.int8(2))
+        assert budget == OracleBudget(1000, 2)
+        assert type(budget.max_order) is int and type(budget.partitions) is int
 
 
 W = GenPerm(2, ((1, 2), (0, 1)))
