@@ -137,8 +137,7 @@ def is_admissible_top(P: PinSet) -> bool:
     if _violation(P) is not None:
         return False
     top = P.m - 1
-    lower_mags = {cv.magnitude for cv in P.elements if cv.color != top}
-    alive = [x for x in range(1, P.n + 1) if x not in lower_mags]
-    rank = {x: i for i, x in enumerate(alive, start=1)}
-    packed = tuple(ColoredValue(top, rank[cv.magnitude]) for cv in P.elements if cv.color == top)
-    return is_admissible(PinSet(P.m, len(alive), packed))
+    lower = sorted(cv.magnitude for cv in P.elements if cv.color != top)
+    packed = tuple(ColoredValue(top, cv.magnitude - bisect_left(lower, cv.magnitude))
+                   for cv in P.elements if cv.color == top)
+    return is_admissible(PinSet(P.m, P.n - len(lower), packed))

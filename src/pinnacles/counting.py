@@ -12,25 +12,18 @@ the two closed forms take O(d) big-integer steps, the degree recursion
 O(n*d), and the modulus recursion O(m*d^2) after a one-time table of
 binomial coefficients.
 
-Counts for the subgroups G(m,p,n) coincide with the full wreath product in
-every case except odd n = 2r+1 at the maximal cardinality r, where G(m,p,n)
-falls short of the full count by L(p,r), the number of maximal sets that
-G(p,p,n) loses.  L(p,r) has no known closed form: it is counted in set space,
-one bipartite matching per candidate maximal set, C(n,r) p^r (r+1) slot
-tests in all.
-
-Everything is plain Python integers, so results are exact at any size.
+The subgroups G(m,p,n) have the same counts, less L(p,r) of ``_setspace`` at
+odd n = 2r+1 and cardinality r.  Every value is an exact Python integer.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations, product
+from itertools import accumulate
 from math import comb
 from operator import index, mul
 
-from . import wreath
 from .admissible import max_pinnacles
-from .wreath import ColoredValue, GroupParams
+from .wreath import GroupParams
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -175,59 +168,6 @@ def count_total(m: int, n: int, method: str = DEFAULT_METHOD) -> int:
     return count_pinnacle_sets(m, n, max_pinnacles(n), method)
 
 
-def _augment(options: list[int], owner: dict[int, int], s: int) -> bool:
-    # breadth-first search from slot s, through matched fillers, for a free one;
-    # options[t] is slot t's filler bitmask, owner maps a matched bit to its slot
-    came, via, frontier, seen = {}, {s: 0}, [s], 0
-    for t in frontier:
-        mask = options[t] & ~seen
-        seen |= mask
-        while mask:
-            bit = mask & -mask
-            mask ^= bit
-            came[bit] = t
-            if bit not in owner:
-                while bit:  # each slot on the path takes the filler it reached
-                    t = came[bit]
-                    owner[bit], bit = t, via[t]
-                return True
-            via[owner[bit]] = bit
-            frontier.append(owner[bit])
-    return False
-
-
-def _maximal_sets(p: int, n: int):
-    # Every maximal candidate of Z_p wr S_n, n = 2r+1, as (magnitudes, colors,
-    # eps_min or None when it has no witness, eps_max); its word is V P V ... P V.
-    # Ascending pinnacles dominate: the j smallest touch at least j+1 valley
-    # slots in any arrangement, so thresholds p_1, p_1, p_2, ..., p_r are the
-    # highest.  Under threshold (c, x) a filler y takes every color above c, and
-    # c when (c, y) is below (c, x), so the color sums fill an interval up to
-    # eps_max.  Matchings to cost-c fillers form a transversal matroid, so
-    # matching the top-color slots (no color c+1) first, as they ascend first,
-    # gives a maximum matching covering them if any exists.
-    r, top = max_pinnacles(n), p - 1
-    values = sorted((ColoredValue(c, x) for c in range(p) for x in range(1, n + 1)),
-                    key=wreath.value_key(p))
-    rank = {(v.color, v.magnitude): i for i, v in enumerate(values)}
-    color = [v.color for v in values]
-    cheap = [sum(1 << y for y in range(1, n + 1) if rank[v.color, y] < i)
-             for i, v in enumerate(values)]
-    for mags in combinations(range(1, n + 1), r):
-        free = (2 << n) - 2 - sum(1 << x for x in mags)
-        for colors in product(range(p), repeat=r):
-            pins = sorted(rank[c, x] for c, x in zip(colors, mags))
-            slots = [pins[0], *pins]
-            options, owner, lo = [cheap[i] & free for i in slots], {}, sum(colors)
-            for s, i in enumerate(slots):
-                matched = _augment(options, owner, s)
-                if not matched and color[i] == top:
-                    lo = None
-                    break
-                lo += color[i] + (not matched)
-            yield mags, colors, lo, sum(colors) + (r + 1) * top
-
-
 def count_complex(
     g: GroupParams,
     d: int | None = None,
@@ -236,13 +176,9 @@ def count_complex(
 ) -> int:
     """Admissible pinnacle sets of size <= d for the reflection group G(m,p,n).
 
-    Equal to the full wreath-product count except in the odd-maximal case
-    (n = 2r+1 and d = r), where G(m,p,n) loses exactly the color shifts of the
-    L(p,r) maximal sets that G(p,p,n) loses.  Those are the admissible ones
-    among the C(n,r) p^r candidate maximal sets with no multiple of p in their
-    color-sum range, from one matching each of their r+1 valley slots.
-    ``method`` routes the full count.  The count refuses with a budget error,
-    before it counts anything, when those C(n,r) p^r (r+1) candidate slot
+    The full wreath-product count, routed by ``method``, less L(p,r) (see
+    ``_setspace``) when n = 2r+1 and d = r.  That case refuses with a budget
+    error, before it counts anything, when its C(n,r) p^r (r+1) candidate slot
     tests exceed ``budget.max_order``.
     """
     cap = max_pinnacles(g.n)
@@ -255,5 +191,5 @@ def count_complex(
     # C(n,d) p^d (d+1) built up as (d+1) p^i C(n-d+i, i) for i = 0..d
     tests = accumulate(range(1, d + 1), lambda t, i: t * p * (n - d + i) // i, initial=d + 1)
     (budget or OracleBudget()).check(GroupParams(p, p, n), tests, "candidate slot test count")
-    lost = sum(lo is not None and -lo % p > hi - lo for *_, lo, hi in _maximal_sets(p, n))
-    return count_pinnacle_sets(g.m, g.n, d, method) - lost
+    from ._setspace import lost  # past the budget check, so a refusal loads no engine
+    return count_pinnacle_sets(g.m, g.n, d, method) - lost(p, n)

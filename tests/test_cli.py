@@ -499,8 +499,9 @@ class TestUsage:
 
     def test_only_scans_load_numpy(self):
         # each command, as its own process, loads only the package modules it
-        # runs; numpy only with a scan above the walk bound (G(2,1,4) has 1,536
-        # colored values, G(2,1,6) 276,480), the process pool with none of these, and
+        # runs; the set-space engine only with an odd-maximal count, numpy only
+        # with a scan above the walk bound (G(2,1,4) has 1,536 colored values,
+        # G(2,1,6) 276,480), the process pool with none of these, and
         # dataclasses and inspect with none, unless a bare interpreter (site, a
         # .pth file) or, for a scan, numpy's own import already loads them
         import subprocess
@@ -524,7 +525,7 @@ class TestUsage:
         count = [*decide, "pinnacles.counting", "pinnacles.oracle"]
         expected = {
             ("count", "--m", "3", "--n", "10"): count,
-            ("count", "--m", "4", "--p", "2", "--n", "7"): count,
+            ("count", "--m", "4", "--p", "2", "--n", "7"): [*count, "pinnacles._setspace"],
             ("check", "--m", "3", "--n", "10", "--set", "1:3,0:5,0:2"): decide,
             ("witness", "--m", "3", "--n", "10", "--set", "1:3"): decide,
             ("pinnacles", "--m", "2", "--n", "3", "--perm", "0:1 0:3 0:2"): base,

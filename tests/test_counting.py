@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from pinnacles import counting
+from pinnacles import _setspace, counting, wreath
 from pinnacles.admissible import is_admissible, max_pinnacles
 from pinnacles.counting import (
     CrossCheckMismatch,
@@ -280,11 +280,12 @@ class TestMaximalSetEngine:
             # the full group's color-sum ranges, where it is small enough to scan
             full = reports(p, 1, n) if GroupParams(p, 1, n).order <= 30_000_000 else None
             kept = set()
-            for mags, colors, lo, hi in counting._maximal_sets(p, n):
+            for mags, colors, span in _setspace._maximal_sets(p, n):
                 P = PinSet(p, n, tuple(zip(colors, mags)))
-                assert (lo is not None) == is_admissible(P), (p, n, str(P))
-                if lo is None:
+                assert (span is not None) == is_admissible(P), (p, n, str(P))
+                if span is None:
                     continue
+                lo, hi = span
                 if full is not None:
                     stats = full.stats[P]
                     assert (stats.eps_min, stats.eps_max) == (lo, hi), (p, n, str(P))
@@ -304,6 +305,20 @@ class TestMaximalSetEngine:
         # of the matching, gave 7965 for G(3,3,9) and 10216 for G(2,2,11)
         assert count_complex(GroupParams(3, 3, 9)) == 7965
         assert count_complex(GroupParams(2, 2, 11)) == 10216
+
+    def test_lost_sets_under_both_orders(self, monkeypatch):
+        # L(p,r) from the set-space engine alone, r = 1, 2, ...; under top-asc,
+        # L(2,r) = C(2r-1, r-1), identity (a) of the p = 2 counts
+        def lost(p, rs):
+            return [_setspace.lost(p, 2 * r + 1) for r in rs]
+
+        assert lost(2, range(1, 6)) == [1, 3, 17, 82, 409]
+        assert lost(3, range(1, 4)) == [2, 12, 54]
+        monkeypatch.setattr(wreath, "value_key", lambda m: lambda cv: (
+            -cv.color, cv.magnitude if cv.color == m - 1 else -cv.magnitude))
+        binomials = [comb(2 * r - 1, r - 1) for r in range(1, 6)]
+        assert lost(2, range(1, 6)) == binomials == [1, 3, 10, 35, 126]
+        assert lost(3, range(1, 4)) == [2, 10, 31]
 
     def test_matching_is_maximum_and_keeps_matched_slots(self):
         # under the documented order each slot's cheap fillers are the larger
@@ -325,7 +340,7 @@ class TestMaximalSetEngine:
             options = [rng.getrandbits(fillers) << 1 for _ in range(rng.randint(1, 6))]
             owner, matched = {}, set()
             for s in range(len(options)):
-                if counting._augment(options, owner, s):
+                if _setspace._augment(options, owner, s):
                     matched.add(s)
                 assert set(owner.values()) == matched, options
             assert all(options[t] & bit for bit, t in owner.items()), options
