@@ -12,7 +12,7 @@ cross-checked against each other and against brute force.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from . import wreath
 from .wreath import ColoredValue, GenPerm, PinSet, _set, _Value
 
@@ -118,13 +118,22 @@ def is_admissible_rec(P: PinSet) -> bool:
     magnitude P does not use, and on any magnitude the top color gives the
     lowest value.  So P is admissible iff its magnitudes are distinct and, for
     every j, at least j+1 top-color values on unused magnitudes lie below the
-    j-th smallest element of P.  No witness is built.
+    j-th smallest element of P.  A lower-color element has all n-d of them
+    below it, and n-d > d, so only the top-color elements, the lowest ones,
+    are counted: by bisection over the used magnitudes, on the side where the
+    top color's values are lower.  No witness is built.
     """
     if _violation(P) is not None:
         return False
-    key, used = wreath.value_key(P.m), P.magnitude_set()
-    fillers = sorted(key(ColoredValue(P.m - 1, y)) for y in range(1, P.n + 1) if y not in used)
-    return all(bisect_left(fillers, key(p)) > j for j, p in enumerate(P.elements, start=1))
+    top, key = P.m - 1, wreath.value_key(P.m)
+    rising = key(ColoredValue(top, 1)) < key(ColoredValue(top, 2))  # the top color's direction
+    used = sorted(cv.magnitude for cv in P.elements)
+    for j, cv in enumerate((cv for cv in P.elements if cv.color == top), start=1):
+        x = cv.magnitude
+        free = x - 1 - bisect_left(used, x) if rising else P.n - x - len(used) + bisect_right(used, x)
+        if free <= j:
+            return False
+    return True
 
 
 def is_admissible_top(P: PinSet) -> bool:

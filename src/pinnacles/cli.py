@@ -332,8 +332,9 @@ def _add_common(sub, *, p: bool = False, d: bool = False, budget: str | None = N
 
 def _count_arguments(sub) -> None:
     from . import counting
-    _add_common(sub, p=True, d=True, budget="cap on the candidate slot tests, "
-                "C(n,r)*p^r*(r+1), of a count at odd n = 2r+1 and d = r")
+    _add_common(sub, p=True, d=True, budget="cap on the estimated sweep steps, "
+                "n*(r+1)^3*p^min(r,3), of a count at odd n = 2r+1 and d = r; with "
+                "--method all, on its C(n,r)*p^r*(r+1) candidate slot tests")
     sub.add_argument("--method", choices=counting.METHOD_CHOICES, default=counting.DEFAULT_METHOD)
 
 

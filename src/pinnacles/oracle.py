@@ -82,7 +82,7 @@ class BudgetExceeded(RuntimeError):
 
 
 class OracleBudget(_Value):
-    """Work limits: the cap on a scan's group order or a count's slot tests, and scan width.
+    """Work limits: the cap on a scan's group order or a count's steps, and scan width.
 
     ``partitions`` splits only a parallel scan; a serial one, or 1 part, is one engine call.
     """

@@ -19,6 +19,7 @@ from pinnacles.admissible import (
     is_admissible_top,
     max_pinnacles,
 )
+from pinnacles import wreath
 from pinnacles.wreath import ColoredValue, GenPerm, PinSet, pinnacle_set, value_key
 
 CV = ColoredValue
@@ -190,6 +191,28 @@ class TestDeciderAgreement:
         sets = [PinSet(m, 5, ((0, 3),)), PinSet(m, 9, ((0, 3), (7, 5), (m - 2, 7), (m - 1, 8)))]
         for P in sets:
             assert is_admissible_rec(P) == is_admissible_top(P) == is_admissible(P), str(P)
+
+    def test_decider_b_reads_the_order_twice_not_per_magnitude(self, monkeypatch):
+        # B bisects over the used magnitudes in place of sorting a key for every
+        # filler, so its key calls do not grow with the degree
+        n, calls = 10**5, []
+        sets = [PinSet(3, n, ((2, 2), (2, 7), (0, 50_000), (1, 3), (2, 99_998))),
+                PinSet(3, n, ((2, 99_999), (2, 40), (1, 5))),
+                PinSet(3, n, ((2, 1), (2, 3), (0, 2)))]
+        top_asc = lambda m: lambda cv: (-cv.color, cv.magnitude if cv.color == m - 1 else -cv.magnitude)
+        # where the top color ascends, its lowest element 2:2, 2:40 or 2:1 has
+        # 1, 38 or 0 unused magnitudes below it; where it descends, 2:99998,
+        # 2:99999 or 2:3 has 2, 1 or 99995 above it
+        for order, verdicts in ((wreath.value_key, [True, False, True]), (top_asc, [False, True, False])):
+            def counted(m, order=order):
+                key = order(m)
+                return lambda cv: calls.append(cv) or key(cv)
+
+            monkeypatch.setattr(wreath, "value_key", counted)
+            for P, verdict in zip(sets, verdicts):
+                calls.clear()
+                assert is_admissible_rec(P) == verdict, str(P)
+                assert len(calls) <= len(P) + 2, str(P)
 
     def test_deciders_agree_on_seeded_large_sets(self):
         verdicts = set()

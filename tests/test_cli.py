@@ -143,11 +143,32 @@ class TestCountCommand:
         # words of --budget, not of the library's OracleBudget.max_order
         code, out, err = capture(
             capsys,
-            ["count", "--m", "4", "--p", "2", "--n", "9", "--budget", "1000"],
+            ["count", "--m", "4", "--p", "2", "--n", "9", "--budget", "1000", "--method", "all"],
         )
         assert (code, out) == (EXIT_BUDGET, "")
         assert err == ("error: G(2,2,9) has candidate slot test count 10080, exceeding the "
                        "budget 1000; raise the budget to at least 10080\n")
+
+    def test_sweep_budget_refusal_exit(self, capsys):
+        # the default route counts the sweep's estimated steps, 9 * 5^3 * 2^3 here
+        code, out, err = capture(
+            capsys, ["count", "--m", "4", "--p", "2", "--n", "9", "--budget", "1000"]
+        )
+        assert (code, out) == (EXIT_BUDGET, "")
+        assert err == ("error: G(2,2,9) has estimated sweep step count 9000, exceeding the "
+                       "budget 1000; raise the budget to at least 9000\n")
+
+    def test_lost_count_cross_check_exit(self, capsys, monkeypatch):
+        from pinnacles import _setspace
+
+        sweep = _setspace.lost
+        monkeypatch.setattr(_setspace, "lost", lambda p, n: sweep(p, n) + 1)
+        code, out, err = capture(capsys, ["count", "--m", "2", "--p", "2", "--n", "7"])
+        assert (code, out, err) == (EXIT_OK, "191\n", "")
+        code, out, err = capture(capsys, ["count", "--m", "2", "--p", "2", "--n", "7", "--method", "all"])
+        assert (code, out) == (EXIT_CROSSCHECK, "")
+        assert err == ("error: count mismatch at (m=2, n=7, d=3): "
+                       "lost by sweep=18, lost by enumeration=17\n")
 
     def test_env_var_budget(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.BUDGET_ENV_VAR, "10")
@@ -461,8 +482,10 @@ class TestUsage:
         for argv, line in (
             (["oracle", "--m", "2", "--n", "1000000"],
              "G(2,1,1000000) has order at least 2**88, far past the budget 10000000"),
-            (["count", "--m", "2", "--p", "2", "--n", "200001", "--budget", "10"],
+            (["count", "--m", "2", "--p", "2", "--n", "200001", "--budget", "10", "--method", "all"],
              "G(2,2,200001) has candidate slot test count at least 2**82, far past the budget 10"),
+            (["count", "--m", "2", "--p", "2", "--n", "200001", "--budget", "10"],
+             "G(2,2,200001) has estimated sweep step count at least 2**67, far past the budget 10"),
         ):
             proc = subprocess.run([sys.executable, "-m", "pinnacles", *argv],
                                   capture_output=True, text=True, timeout=20)

@@ -20,6 +20,7 @@ from pinnacles.counting import (
 )
 from pinnacles.oracle import BudgetExceeded, OracleBudget
 from pinnacles.wreath import GroupParams, PinSet
+from test_acceptance import CANDIDATE_ORDERS, _candidate_key
 
 ALL_METHODS = tuple(counting.METHODS)
 
@@ -249,7 +250,7 @@ class TestComplexCounts:
     def test_budget_refusal_names_subproblem(self):
         tiny = OracleBudget(max_order=10)
         with pytest.raises(BudgetExceeded) as info:
-            count_complex(GroupParams(4, 2, 5), budget=tiny)
+            count_complex(GroupParams(4, 2, 5), method="all", budget=tiny)
         assert info.value.params == GroupParams(2, 2, 5)
         # C(5,2) 2^2 candidates, each testing 3 valley slots
         assert info.value.required == comb(5, 2) * 2**2 * 3
@@ -262,7 +263,35 @@ class TestComplexCounts:
 
         monkeypatch.setattr(counting, "count_pinnacle_sets", no_count)
         with pytest.raises(BudgetExceeded):
-            count_complex(GroupParams(2, 2, 9), budget=OracleBudget(max_order=1000))
+            count_complex(GroupParams(2, 2, 9), method="all", budget=OracleBudget(max_order=1000))
+
+    def test_sweep_budget_refusal(self, monkeypatch):
+        # the default route is refused on the sweep's step estimate
+        # n (r+1)^3 p^min(r,3), before it counts or runs the sweep
+        def no_count(*args, **kwargs):
+            raise AssertionError("counted before refusing")
+
+        monkeypatch.setattr(counting, "count_pinnacle_sets", no_count)
+        monkeypatch.setattr(_setspace, "lost", no_count)
+        with pytest.raises(BudgetExceeded) as info:
+            count_complex(GroupParams(4, 2, 5), budget=OracleBudget(max_order=10))
+        assert info.value.params == GroupParams(2, 2, 5)
+        assert info.value.required == 5 * 3**3 * 2**2
+        assert "estimated sweep step count 540" in str(info.value)
+        with pytest.raises(BudgetExceeded) as info:
+            count_complex(GroupParams(6, 6, 11), budget=OracleBudget(max_order=10**5))
+        assert info.value.required == 11 * 6**3 * 6**3
+        # under "all" the enumeration's slot tests, which bound the sweep's steps, are the work
+        monkeypatch.undo()
+        budget = OracleBudget(max_order=comb(5, 2) * 2**2 * 3)
+        assert count_complex(GroupParams(2, 2, 5), method="all", budget=budget) == 28
+
+    def test_default_budget_admits_the_sweep_far_past_the_enumeration(self):
+        # the enumeration would run C(31,15) 2^15 16, about 1.6e14, slot tests
+        for g, r in ((GroupParams(2, 2, 31), 15), (GroupParams(3, 3, 21), 10)):
+            estimate = list(counting._sweep_partials(g.p, r))[-1]
+            assert estimate <= OracleBudget().max_order
+            assert count_complex(g) == count_pinnacle_sets(g.m, g.n) - _setspace.lost(g.p, g.n)
 
     def test_degree_one(self):
         assert count_complex(GroupParams(6, 3, 1)) == 1
@@ -306,19 +335,58 @@ class TestMaximalSetEngine:
         assert count_complex(GroupParams(3, 3, 9)) == 7965
         assert count_complex(GroupParams(2, 2, 11)) == 10216
 
+    def test_sweep_equals_the_enumeration(self, monkeypatch):
+        # every p <= 5 with r <= 3 and p = 2 with r <= 5, under each candidate
+        # order and the one in which every color ascends
+        orders = {**CANDIDATE_ORDERS, "all-asc": lambda m, c: True}
+        grid = [(p, r) for p in range(1, 6) for r in range(1, 4)] + [(2, 4), (2, 5)]
+        for name, ascends in orders.items():
+            monkeypatch.setattr(wreath, "value_key", _candidate_key(ascends))
+            for p, r in grid:
+                n = 2 * r + 1
+                assert _setspace.lost(p, n) == _setspace.lost_enumerated(p, n), (name, p, r)
+
     def test_lost_sets_under_both_orders(self, monkeypatch):
-        # L(p,r) from the set-space engine alone, r = 1, 2, ...; under top-asc,
-        # L(2,r) = C(2r-1, r-1), identity (a) of the p = 2 counts
+        # L(p,r) from the set-space engine alone, r = 1, 2, ...; the table of
+        # L(p,r) under both orders in the roadmap's item on the sequence
         def lost(p, rs):
             return [_setspace.lost(p, 2 * r + 1) for r in rs]
 
-        assert lost(2, range(1, 6)) == [1, 3, 17, 82, 409]
-        assert lost(3, range(1, 4)) == [2, 12, 54]
-        monkeypatch.setattr(wreath, "value_key", lambda m: lambda cv: (
-            -cv.color, cv.magnitude if cv.color == m - 1 else -cv.magnitude))
-        binomials = [comb(2 * r - 1, r - 1) for r in range(1, 6)]
-        assert lost(2, range(1, 6)) == binomials == [1, 3, 10, 35, 126]
-        assert lost(3, range(1, 4)) == [2, 10, 31]
+        assert lost(2, range(1, 8)) == [1, 3, 17, 82, 409, 2061, 10571]
+        assert lost(3, range(1, 6)) == [2, 12, 54, 271, 1682]
+        monkeypatch.setattr(wreath, "value_key", _candidate_key(CANDIDATE_ORDERS["top-asc"]))
+        assert lost(2, range(1, 8)) == [1, 3, 10, 35, 126, 462, 1716]
+        assert lost(3, range(1, 6)) == [2, 10, 31, 176, 742]
+        assert lost(4, range(1, 5)) == [2, 15, 120, 422]
+        assert lost(5, range(1, 5)) == [2, 30, 202, 974]
+        assert lost(6, range(1, 4)) == [3, 49, 238]
+        assert [_setspace.lost(p, 3) for p in range(2, 10)] == [1, 2, 2, 2, 3, 4, 5, 6]
+
+    def test_identity_a_far_past_any_scan(self, monkeypatch):
+        # under top-asc, L(2,r) = C(2r-1, r-1) = (1/2) #APS(1,1,2r+1): the p = 2
+        # identity (a), out to n = 25, where the enumeration would list 169 billion sets
+        monkeypatch.setattr(wreath, "value_key", _candidate_key(CANDIDATE_ORDERS["top-asc"]))
+        for r in range(1, 13):
+            assert _setspace.lost(2, 2 * r + 1) == comb(2 * r - 1, r - 1), r
+
+    def test_sweep_refuses_an_order_it_cannot_read(self, monkeypatch):
+        # colors interleaved by magnitude, then a color whose magnitudes are not monotone
+        for key in (lambda cv: (cv.magnitude, -cv.color),
+                    lambda cv: (-cv.color, (cv.magnitude - 2) % 5)):
+            monkeypatch.setattr(wreath, "value_key", lambda m, key=key: key)
+            with pytest.raises(_setspace.UnsupportedOrder) as info:
+                _setspace.lost(2, 5)
+            assert isinstance(info.value, ValueError) and "in blocks" in str(info.value)
+            assert _setspace.lost_enumerated(2, 5) >= 0  # the enumeration reads any order
+
+    def test_cross_check_catches_a_wrong_sweep(self, monkeypatch):
+        sweep = _setspace.lost
+        monkeypatch.setattr(_setspace, "lost", lambda p, n: sweep(p, n) + 1)
+        assert count_complex(GroupParams(2, 2, 7)) == 191  # the default route trusts the sweep
+        with pytest.raises(CrossCheckMismatch) as info:
+            count_complex(GroupParams(2, 2, 7), method="all")
+        assert info.value.values == {"lost by sweep": 18, "lost by enumeration": 17}
+        assert info.value.params == (2, 7, 3)
 
     def test_matching_is_maximum_and_keeps_matched_slots(self):
         # under the documented order each slot's cheap fillers are the larger
