@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "admissible": ("Admissibility", "AdmissibilityError", "CardinalityViolation",
                    "MultiplicityViolation", "admissibility", "canonical_witness",
-                   "is_admissible", "is_admissible_rec", "is_admissible_top", "max_pinnacles"),
+                   "is_admissible", "is_admissible_rec", "is_admissible_top"),
     "counting": ("CrossCheckMismatch", "NegativeCount", "count_closed_alternating",
                  "count_closed_positive", "count_complex", "count_pinnacle_sets",
                  "count_recursion_m", "count_recursion_n", "count_total"),
@@ -25,7 +25,7 @@ _EXPORTS = {
                "collect_pinnacle_sets"),
     "shifts": ("ShiftParams", "shift_perm", "shift_set"),
     "wreath": ("ColoredValue", "GenPerm", "GroupParams", "PinSet", "color_sum", "in_subgroup",
-               "inverse", "multiply", "peaks", "pinnacle_set", "value_key"),
+               "inverse", "max_pinnacles", "multiply", "peaks", "pinnacle_set", "value_key"),
 }
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
 

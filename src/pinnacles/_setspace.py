@@ -2,8 +2,9 @@
 
 G(m,p,2r+1) loses their color shifts: the admissible candidates of Z_p wr S_n,
 words V P V ... P V, with no multiple of p in their witness color-sum range.
-Under an order in color blocks, higher colors lower, each color monotone in
-magnitude, these facts hold for a candidate with pinnacle color sum base:
+Every order of ``wreath`` puts the colors in blocks, higher colors lower,
+each ascending or descending in magnitude, so these facts hold for a
+candidate with pinnacle color sum base:
 - The j smallest pinnacles always touch at least j+1 valley slots, so the
   slots take the thresholds p_1, p_1, p_2, ..., p_r, pinnacles ascending.
 - Under threshold (c, x) a filler y takes every color above c, and c when
@@ -99,28 +100,10 @@ def lost_enumerated(p: int, n: int) -> int:
     return sum(s is not None and -s[0] % p > s[1] - s[0] for _, _, s in _maximal_sets(p, n))
 
 
-class UnsupportedOrder(ValueError):
-    """``wreath.value_key`` does not keep the colors in monotone blocks, higher ones lower."""
-
-
-def _rising(p: int, n: int) -> list[bool]:
-    # per color, whether its magnitudes ascend under wreath.value_key(p)
-    values = sorted((wreath.ColoredValue(c, x) for c in range(p) for x in range(1, n + 1)),
-                    key=wreath.value_key(p))
-    rising, mags = [], list(range(1, n + 1))
-    for c in range(p):
-        block = [v.magnitude for v in values[(p - 1 - c) * n:(p - c) * n] if v.color == c]
-        if block != mags and block[::-1] != mags:
-            raise UnsupportedOrder(f"the sweep needs wreath.value_key({p}) to sort the colors "
-                                   "in blocks, higher ones lower, each monotone in magnitude")
-        rising.append(block == mags)
-    return rising
-
-
 def lost(p: int, n: int) -> int:
     """L(p,r) for n = 2r+1 by the sweep over magnitudes, no candidate listed."""
-    rising, r, top = _rising(p, n), n // 2, p - 1
-    down = [asc == rising[top] for asc in rising]  # per color: are its slots down slots
+    up, r, top = wreath._ascending_colors(p), n // 2, p - 1
+    down = [(c in up) == (top in up) for c in range(p)]  # per color: are its slots down slots
     # a state: the color c1 of p_1, which no pinnacle's color exceeds; whether
     # p_1 is placed; pinnacles; top-color slots; up slots; hall, the running
     # max(0, D(<=a) - F(<a)); both, the running max over up slots b of hall

@@ -15,7 +15,6 @@ from collections import Counter
 import numpy as np
 
 from . import wreath
-from .wreath import ColoredValue
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:
@@ -79,15 +78,13 @@ def scan(m: int, p: int, n: int, firsts: tuple[int, ...]) -> Counter:
     eps_width = n * (m - 1) + 1
     patterns = 1 << (n - 1)  # descent patterns: bit t is set where the word falls from t to t+1
     # below[a, :, t]: slot t sits strictly below slot t+1 under descent bit a
-    # there.  The table reads wreath.value_key(m), which is exact because the
-    # order compares different colors by color alone and equal colors by
-    # magnitude, in a direction that depends only on the color and m.  Slot t
-    # is a pinnacle when it is below[a, :, t-1] and not below[b, :, t] for the
-    # descent bits a, b around it, so the pinnacle slots of a coloring depend
-    # on the word only through its descent pattern.
-    order = wreath.value_key(m)
-    key = [[order(ColoredValue(c, x)) for c in range(m)] for x in (1, 2)]
-    lt = np.array([[[key[a][c] < key[1 - a][e] for e in range(m)] for c in range(m)]
+    # there.  A higher color is lower; within one color, slot t is below when
+    # the magnitudes rise (a = 0) and the color ascends, or fall (a = 1) and
+    # it descends.  Slot t is a pinnacle when it is below[a, :, t-1] and not
+    # below[b, :, t] for the descent bits a, b around it, so the pinnacle
+    # slots of a coloring depend on the word only through its descent pattern.
+    up = wreath._ascending_colors(m)
+    lt = np.array([[[c > e or c == e and (c in up) != a for e in range(m)] for c in range(m)]
                    for a in (0, 1)])
     below = lt[:, colors[:, :-1], colors[:, 1:]]
 

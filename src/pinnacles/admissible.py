@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from . import wreath
-from .wreath import ColoredValue, GenPerm, PinSet, _set, _Value
+from .wreath import ColoredValue, GenPerm, PinSet, _set, _Value, max_pinnacles
 
 
 class AdmissibilityError(ValueError):
@@ -33,11 +33,6 @@ class CardinalityViolation(AdmissibilityError):
     """More than floor((n-1)/2) elements; there are not enough valley slots."""
 
     code = "too-many-pinnacles"
-
-
-def max_pinnacles(n: int) -> int:
-    """The hard cap floor((n-1)/2) on the number of pinnacles in degree n."""
-    return (n - 1) // 2
 
 
 def _violation(P: PinSet) -> AdmissibilityError | None:
@@ -121,12 +116,13 @@ def is_admissible_rec(P: PinSet) -> bool:
     j-th smallest element of P.  A lower-color element has all n-d of them
     below it, and n-d > d, so only the top-color elements, the lowest ones,
     are counted: by bisection over the used magnitudes, on the side where the
-    top color's values are lower.  No witness is built.
+    top color's values are lower, the smaller magnitudes exactly when the top
+    color is among ``wreath._ascending_colors(m)``.  No witness is built.
     """
     if _violation(P) is not None:
         return False
-    top, key = P.m - 1, wreath.value_key(P.m)
-    rising = key(ColoredValue(top, 1)) < key(ColoredValue(top, 2))  # the top color's direction
+    top = P.m - 1
+    rising = top in wreath._ascending_colors(P.m)
     used = sorted(cv.magnitude for cv in P.elements)
     for j, cv in enumerate((cv for cv in P.elements if cv.color == top), start=1):
         x = cv.magnitude
@@ -139,9 +135,10 @@ def is_admissible_rec(P: PinSet) -> bool:
 def is_admissible_top(P: PinSet) -> bool:
     """Decider C: only the top-color slice needs a nontrivial check.
 
-    Every lower-color element lies above all top-color values, so it has
-    neighbors to spare.  The top-color slice, its magnitudes packed onto the
-    ones the lower colors leave, is decided by decider A at the same modulus.
+    The order puts higher colors lower, so every lower-color element lies
+    above all top-color values and has neighbors to spare.  The top-color
+    slice, its magnitudes packed onto the ones the lower colors leave, is
+    decided by decider A at the same modulus.
     """
     if _violation(P) is not None:
         return False

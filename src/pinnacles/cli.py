@@ -158,10 +158,10 @@ def _emit(args, doc: dict, text: str, csv: str | None = None) -> None:
 
 
 def _cmd_count(args) -> None:
-    from . import admissible, counting
+    from . import counting
     params = wreath.GroupParams(args.m, args.p, args.n)
     value = str(counting.count_complex(params, args.d, args.method, budget=_budget_from(args)))
-    d = admissible.max_pinnacles(args.n) if args.d is None else args.d
+    d = wreath.max_pinnacles(args.n) if args.d is None else args.d
     doc = {
         "params": {"m": args.m, "p": args.p, "n": args.n, "d": d},
         "method": args.method,
@@ -251,7 +251,7 @@ def _cmd_table(args) -> None:
 
 
 def _cmd_oracle(args) -> None:
-    from . import admissible, oracle
+    from . import oracle
     if args.diff:  # before the scan: compiled on the heap the scan grew, it raised the peak RSS
         from . import counting
     params = wreath.GroupParams(args.m, args.p, args.n)
@@ -259,7 +259,7 @@ def _cmd_oracle(args) -> None:
     report = oracle.collect_pinnacle_sets(params, budget=budget, parallel=args.parallel)
     mismatches = []
     if args.diff:
-        for d in range(admissible.max_pinnacles(args.n) + 1):
+        for d in range(wreath.max_pinnacles(args.n) + 1):
             expected = counting.count_complex(params, d, budget=budget)
             got = report.count_up_to(d)
             if expected != got:

@@ -2,7 +2,7 @@
 
 p(m, n, d) is the number of admissible pinnacle sets of cardinality at most d
 in Z_m wr S_n, for 0 <= d <= floor((n-1)/2), the cap that
-``admissible.max_pinnacles`` defines for every module.  Four routes compute
+``wreath.max_pinnacles`` defines for every module.  Four routes compute
 it: a recursion lowering the modulus, a recursion lowering the degree, an
 alternating binomial sum, and an all-nonnegative binomial sum.  They must
 agree exactly; ``method="all"`` enforces that on every call.  Each route
@@ -22,8 +22,7 @@ from itertools import accumulate, chain, repeat
 from math import comb
 from operator import index, mul
 
-from .admissible import max_pinnacles
-from .wreath import GroupParams
+from .wreath import GroupParams, max_pinnacles
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing
 if TYPE_CHECKING:

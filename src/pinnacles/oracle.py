@@ -38,8 +38,8 @@ import operator
 import sys
 from collections import Counter
 
-from .admissible import max_pinnacles
-from .wreath import ColoredValue, GenPerm, GroupParams, PinSet, color_sum, pinnacle_set
+from .wreath import ColoredValue, GenPerm, GroupParams, PinSet, color_sum, max_pinnacles
+from .wreath import pinnacle_set
 from .wreath import _set, _Value
 
 TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing

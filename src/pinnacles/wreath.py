@@ -6,20 +6,21 @@ sends the plain magnitudes 1..n.  We store that image by position and never
 evaluate xi as a complex number: every comparison and identity downstream
 depends on the exponents alone.
 
-The total order, defined once by ``value_key(m)``, puts higher colors lower,
-and within one color larger magnitudes lower:
+The total order puts higher colors lower and orders each color's magnitudes
+one way or the other.  It is defined once, by ``_ascending_colors(m)``, the
+colors of modulus m whose magnitudes ascend; none do in the documented order:
 
     xi^(m-1)(n) < ... < xi^1(1) < xi^0(n) < ... < xi^0(2) < xi^0(1)
 
 so the plain integers sit on top, reversed.  A pinnacle of w is a value
-strictly above both word neighbors under this order.  Values themselves are
-unordered: every comparison goes through the key of the modulus at hand, so
-an order that depends on m needs no change outside ``value_key``; slots do
-not give ColoredValue one.  GenPerm coerces plain pairs only when some value
-is not already a ColoredValue; PinSet coerces them as it collects its set.
-Both check their values in one pass with ``check_value``'s comparisons
-inline, and call it only on the first value that fails, so a rejection names
-that value.
+strictly above both word neighbors under this order.  Code that sorts or
+compares values uses ``value_key(m)``, the sort key derived from that set;
+code that needs the order's shape reads the set.  Values themselves are
+unordered: slots do not give ColoredValue an order.  GenPerm coerces plain
+pairs only when some value is not already a ColoredValue; PinSet coerces
+them as it collects its set.  Both check their values in one pass with
+``check_value``'s comparisons inline, and call it only on the first value
+that fails, so a rejection names that value.
 
 Value semantics live in one private base, ``_Value``, which every value type
 of the package derives from: fields named by ``__slots__``, equality and
@@ -108,17 +109,27 @@ class ColoredValue(_Value):
 _set_color, _set_magnitude = ColoredValue.color.__set__, ColoredValue.magnitude.__set__
 
 
+def _ascending_colors(m: int) -> frozenset[int]:
+    # the one definition of the order: the colors of modulus m whose magnitudes
+    # ascend; none do in the documented order
+    return frozenset()
+
+
 def _documented_key(cv: ColoredValue) -> tuple[int, int]:
     return (-cv.color, -cv.magnitude)
 
 
 def value_key(m: int) -> Callable[[ColoredValue], tuple[int, int]]:
-    """The sort key of the colored values of modulus m: the one definition of the order.
+    """The sort key of the colored values of modulus m, read from ``_ascending_colors(m)``.
 
-    u sits below v exactly when ``key(u) < key(v)`` for ``key = value_key(m)``.
-    The documented order is the same for every m.
+    u sits below v exactly when ``key(u) < key(v)`` for ``key = value_key(m)``:
+    a higher color is lower, and one color's magnitudes ascend if it is among
+    the ascending colors and descend if not.
     """
-    return _documented_key
+    up = _ascending_colors(m)
+    if not up:
+        return _documented_key
+    return lambda cv: (-cv.color, cv.magnitude if cv.color in up else -cv.magnitude)
 
 
 def check_value(cv: ColoredValue, m: int, n: int) -> None:
@@ -224,6 +235,11 @@ def peaks(w: GenPerm) -> frozenset[int]:
             found.append(j)
         left, mid = mid, right
     return frozenset(found)
+
+
+def max_pinnacles(n: int) -> int:
+    """The hard cap floor((n-1)/2) on the number of pinnacles in degree n."""
+    return (n - 1) // 2
 
 
 def color_sum(w: GenPerm) -> int:

@@ -13,9 +13,10 @@ plus form would give 6 > 5 at r = 1.
 Beside criterion 6, an unnumbered test records where each candidate order on
 the colored values stands on three facts from the paper: (a) that identity at
 r = 3, (b) the odd-maximal reduction of G(6,3,5), and (c) the color-shift
-embedding at n = 5.  It swaps ``wreath.value_key`` alone, so it also shows
-that both scan engines and the set-space count read the order from there,
-and it checks the three deciders against the scans under each order.
+embedding at n = 5.  It swaps ``wreath._ascending_colors`` alone, the
+colors whose magnitudes ascend, so it also shows that both scan engines and
+the set-space count read the order from there, and it checks the three
+deciders against the scans under each order.
 """
 
 import functools
@@ -216,15 +217,15 @@ def test_criterion_6_odd_maximal_pipeline(capsys, reports):
         _verdict(6, "odd-maximal-pipeline", failures, elapsed, 60.0)
 
 
-# candidate orders on the colored values: each keeps higher colors lower and
-# names, for a modulus m, the colors whose magnitudes ascend; the documented
-# order has none
+# candidate orders on the colored values, as stand-ins for
+# wreath._ascending_colors: each keeps higher colors lower and names, for a
+# modulus m, the colors whose magnitudes ascend; the documented order has none
 CANDIDATE_ORDERS = {
-    "documented": lambda m, c: False,
-    "color0-asc": lambda m, c: c == 0,
-    "odd-asc": lambda m, c: c % 2 == 1,
-    "even-asc": lambda m, c: c % 2 == 0,
-    "top-asc": lambda m, c: c == m - 1,
+    "documented": lambda m: frozenset(),
+    "color0-asc": lambda m: frozenset({0}),
+    "odd-asc": lambda m: frozenset(range(1, m, 2)),
+    "even-asc": lambda m: frozenset(range(0, m, 2)),
+    "top-asc": lambda m: frozenset({m - 1}),
 }
 
 # shifts (source modulus, k) checked by (c), at n = 5
@@ -249,14 +250,6 @@ def _distinct_magnitude_sets(m, n):
                 yield PinSet(m, n, tuple(zip(colors, mags)))
 
 
-def _candidate_key(ascends):
-    # a stand-in for wreath.value_key under the order that ascends names
-    def value_key(m):
-        return lambda cv: (-cv.color, cv.magnitude if ascends(m, cv.color) else -cv.magnitude)
-
-    return value_key
-
-
 def test_candidate_order_status(capsys, monkeypatch):
     # (a) holds when 2 #APS(2,2,7) = 2 #APS(2,1,7) - #APS(1,1,7), that is at
     # 199; the session reports cache is never used, since it holds reports
@@ -271,8 +264,8 @@ def test_candidate_order_status(capsys, monkeypatch):
         assert engine == "reference" or oracle._fits(g), g  # auto runs the vectorized engine
         return collect_pinnacle_sets(g, engine=engine)
 
-    for name, ascends in CANDIDATE_ORDERS.items():
-        monkeypatch.setattr(wreath, "value_key", _candidate_key(ascends))
+    for name, ascending in CANDIDATE_ORDERS.items():
+        monkeypatch.setattr(wreath, "_ascending_colors", ascending)
         scan.cache_clear()
         for m, p, n in [(2, 2, 5), (3, 3, 5), (2, 1, 5), (4, 2, 5), (3, 1, 4)]:
             if scan(m, p, n) != scan(m, p, n, "reference"):

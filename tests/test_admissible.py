@@ -21,6 +21,7 @@ from pinnacles.admissible import (
 )
 from pinnacles import wreath
 from pinnacles.wreath import ColoredValue, GenPerm, PinSet, pinnacle_set, value_key
+from test_acceptance import CANDIDATE_ORDERS
 
 CV = ColoredValue
 
@@ -192,27 +193,23 @@ class TestDeciderAgreement:
         for P in sets:
             assert is_admissible_rec(P) == is_admissible_top(P) == is_admissible(P), str(P)
 
-    def test_decider_b_reads_the_order_twice_not_per_magnitude(self, monkeypatch):
-        # B bisects over the used magnitudes in place of sorting a key for every
-        # filler, so its key calls do not grow with the degree
+    def test_decider_b_reads_the_order_once_not_per_magnitude(self, monkeypatch):
+        # B reads the top color's direction from wreath._ascending_colors and
+        # bisects over the used magnitudes; it calls no value_key, so its work
+        # does not grow with the degree
         n, calls = 10**5, []
         sets = [PinSet(3, n, ((2, 2), (2, 7), (0, 50_000), (1, 3), (2, 99_998))),
                 PinSet(3, n, ((2, 99_999), (2, 40), (1, 5))),
                 PinSet(3, n, ((2, 1), (2, 3), (0, 2)))]
-        top_asc = lambda m: lambda cv: (-cv.color, cv.magnitude if cv.color == m - 1 else -cv.magnitude)
+        monkeypatch.setattr(wreath, "value_key", lambda m: calls.append(m))
         # where the top color ascends, its lowest element 2:2, 2:40 or 2:1 has
         # 1, 38 or 0 unused magnitudes below it; where it descends, 2:99998,
         # 2:99999 or 2:3 has 2, 1 or 99995 above it
-        for order, verdicts in ((wreath.value_key, [True, False, True]), (top_asc, [False, True, False])):
-            def counted(m, order=order):
-                key = order(m)
-                return lambda cv: calls.append(cv) or key(cv)
-
-            monkeypatch.setattr(wreath, "value_key", counted)
+        for name, verdicts in (("documented", [True, False, True]), ("top-asc", [False, True, False])):
+            monkeypatch.setattr(wreath, "_ascending_colors", CANDIDATE_ORDERS[name])
             for P, verdict in zip(sets, verdicts):
-                calls.clear()
-                assert is_admissible_rec(P) == verdict, str(P)
-                assert len(calls) <= len(P) + 2, str(P)
+                assert is_admissible_rec(P) == verdict, (name, str(P))
+        assert calls == []
 
     def test_deciders_agree_on_seeded_large_sets(self):
         verdicts = set()

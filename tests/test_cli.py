@@ -522,11 +522,12 @@ class TestUsage:
 
     def test_only_scans_load_numpy(self):
         # each command, as its own process, loads only the package modules it
-        # runs; the set-space engine only with an odd-maximal count, numpy only
-        # with a scan above the walk bound (G(2,1,4) has 1,536 colored values,
-        # G(2,1,6) 276,480), the process pool with none of these, and
-        # dataclasses and inspect with none, unless a bare interpreter (site, a
-        # .pth file) or, for a scan, numpy's own import already loads them
+        # runs; the deciders only with check and witness, the set-space engine
+        # only with an odd-maximal count, numpy only with a scan above the walk
+        # bound (G(2,1,4) has 1,536 colored values, G(2,1,6) 276,480), the
+        # process pool with none of these, and dataclasses and inspect with
+        # none, unless a bare interpreter (site, a .pth file) or, for a scan,
+        # numpy's own import already loads them
         import subprocess
         import sys
 
@@ -545,7 +546,7 @@ class TestUsage:
         assert bare_err == numpy_err == ""
         base = ["pinnacles.cli", "pinnacles.wreath"]
         decide = [*base, "pinnacles.admissible"]
-        count = [*decide, "pinnacles.counting", "pinnacles.oracle"]
+        count = [*base, "pinnacles.counting", "pinnacles.oracle"]
         expected = {
             ("count", "--m", "3", "--n", "10"): count,
             ("count", "--m", "4", "--p", "2", "--n", "7"): [*count, "pinnacles._setspace"],
@@ -554,10 +555,10 @@ class TestUsage:
             ("pinnacles", "--m", "2", "--n", "3", "--perm", "0:1 0:3 0:2"): base,
             ("shift", "--m", "2", "--n", "3", "--k", "1", "--set", "0:1"):
                 [*base, "pinnacles.shifts"],
-            ("table", "--m", "1..3", "--n", "3..5"): [*decide, "pinnacles.counting"],
-            ("oracle", "--m", "2", "--n", "4"): [*decide, "pinnacles.oracle"],
+            ("table", "--m", "1..3", "--n", "3..5"): [*base, "pinnacles.counting"],
+            ("oracle", "--m", "2", "--n", "4"): [*base, "pinnacles.oracle"],
             ("oracle", "--m", "2", "--n", "6"):
-                [*decide, "pinnacles.oracle", "pinnacles._vectorized", "numpy"],
+                [*base, "pinnacles.oracle", "pinnacles._vectorized", "numpy"],
         }
         for argv, modules in expected.items():
             code, err, loaded = importtime("-m", "pinnacles", *argv)

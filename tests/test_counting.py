@@ -20,7 +20,7 @@ from pinnacles.counting import (
 )
 from pinnacles.oracle import BudgetExceeded, OracleBudget
 from pinnacles.wreath import GroupParams, PinSet
-from test_acceptance import CANDIDATE_ORDERS, _candidate_key
+from test_acceptance import CANDIDATE_ORDERS
 
 ALL_METHODS = tuple(counting.METHODS)
 
@@ -338,10 +338,10 @@ class TestMaximalSetEngine:
     def test_sweep_equals_the_enumeration(self, monkeypatch):
         # every p <= 5 with r <= 3 and p = 2 with r <= 5, under each candidate
         # order and the one in which every color ascends
-        orders = {**CANDIDATE_ORDERS, "all-asc": lambda m, c: True}
+        orders = {**CANDIDATE_ORDERS, "all-asc": lambda m: frozenset(range(m))}
         grid = [(p, r) for p in range(1, 6) for r in range(1, 4)] + [(2, 4), (2, 5)]
-        for name, ascends in orders.items():
-            monkeypatch.setattr(wreath, "value_key", _candidate_key(ascends))
+        for name, ascending in orders.items():
+            monkeypatch.setattr(wreath, "_ascending_colors", ascending)
             for p, r in grid:
                 n = 2 * r + 1
                 assert _setspace.lost(p, n) == _setspace.lost_enumerated(p, n), (name, p, r)
@@ -354,7 +354,7 @@ class TestMaximalSetEngine:
 
         assert lost(2, range(1, 8)) == [1, 3, 17, 82, 409, 2061, 10571]
         assert lost(3, range(1, 6)) == [2, 12, 54, 271, 1682]
-        monkeypatch.setattr(wreath, "value_key", _candidate_key(CANDIDATE_ORDERS["top-asc"]))
+        monkeypatch.setattr(wreath, "_ascending_colors", CANDIDATE_ORDERS["top-asc"])
         assert lost(2, range(1, 8)) == [1, 3, 10, 35, 126, 462, 1716]
         assert lost(3, range(1, 6)) == [2, 10, 31, 176, 742]
         assert lost(4, range(1, 5)) == [2, 15, 120, 422]
@@ -365,19 +365,9 @@ class TestMaximalSetEngine:
     def test_identity_a_far_past_any_scan(self, monkeypatch):
         # under top-asc, L(2,r) = C(2r-1, r-1) = (1/2) #APS(1,1,2r+1): the p = 2
         # identity (a), out to n = 25, where the enumeration would list 169 billion sets
-        monkeypatch.setattr(wreath, "value_key", _candidate_key(CANDIDATE_ORDERS["top-asc"]))
+        monkeypatch.setattr(wreath, "_ascending_colors", CANDIDATE_ORDERS["top-asc"])
         for r in range(1, 13):
             assert _setspace.lost(2, 2 * r + 1) == comb(2 * r - 1, r - 1), r
-
-    def test_sweep_refuses_an_order_it_cannot_read(self, monkeypatch):
-        # colors interleaved by magnitude, then a color whose magnitudes are not monotone
-        for key in (lambda cv: (cv.magnitude, -cv.color),
-                    lambda cv: (-cv.color, (cv.magnitude - 2) % 5)):
-            monkeypatch.setattr(wreath, "value_key", lambda m, key=key: key)
-            with pytest.raises(_setspace.UnsupportedOrder) as info:
-                _setspace.lost(2, 5)
-            assert isinstance(info.value, ValueError) and "in blocks" in str(info.value)
-            assert _setspace.lost_enumerated(2, 5) >= 0  # the enumeration reads any order
 
     def test_cross_check_catches_a_wrong_sweep(self, monkeypatch):
         sweep = _setspace.lost

@@ -22,6 +22,7 @@ from pinnacles.wreath import (
     in_subgroup,
     pinnacle_set,
 )
+from test_acceptance import CANDIDATE_ORDERS
 
 CV = ColoredValue
 
@@ -217,13 +218,10 @@ class TestEnginesAndPartitioning:
                 g, engine="auto"
             ), (m, p, n)
 
-    def test_engines_read_the_order_only_through_value_key(self, monkeypatch):
-        # the vectorized engine's pattern tables must follow wreath.value_key,
+    def test_engines_read_the_order_only_through_ascending_colors(self, monkeypatch):
+        # the vectorized engine's pattern tables must follow wreath._ascending_colors,
         # here swapped for the top-asc order: color m-1's magnitudes ascend
-        def top_asc(m):
-            return lambda cv: (-cv.color, cv.magnitude if cv.color == m - 1 else -cv.magnitude)
-
-        monkeypatch.setattr(wreath, "value_key", top_asc)
+        monkeypatch.setattr(wreath, "_ascending_colors", CANDIDATE_ORDERS["top-asc"])
         for m, p, n in [(2, 2, 6), (3, 1, 5), (3, 3, 5)]:
             g = GroupParams(m, p, n)
             assert oracle._engine(g, "auto") is _vectorized.scan, g
@@ -236,13 +234,10 @@ class TestEnginesAndPartitioning:
         # sets are listed by cardinality, then by the bitmap of bits c*n + x - 1,
         # whatever the value order; under top-asc a listing read in the value
         # order differs from that on these groups
-        def top_asc(m):
-            return lambda cv: (-cv.color, cv.magnitude if cv.color == m - 1 else -cv.magnitude)
-
         def size_and_bitmap(P):
             return len(P), sum(1 << cv.color * P.n + cv.magnitude - 1 for cv in P)
 
-        monkeypatch.setattr(wreath, "value_key", top_asc)
+        monkeypatch.setattr(wreath, "_ascending_colors", CANDIDATE_ORDERS["top-asc"])
         for m, p, n in [(2, 1, 5), (2, 2, 6)]:
             assert oracle._engine(GroupParams(m, p, n), "auto") is _vectorized.scan
             for engine in ("reference", "auto"):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pinnacles import wreath
 from pinnacles.admissible import Admissibility
 from pinnacles.oracle import DEFAULT_MAX_ORDER, OracleBudget, OracleReport, PinStats
 from pinnacles.shifts import ShiftParams
@@ -26,6 +27,7 @@ from pinnacles.wreath import (
     pinnacle_set,
     value_key,
 )
+from test_acceptance import CANDIDATE_ORDERS
 
 CV = ColoredValue
 
@@ -86,6 +88,24 @@ class TestOrder:
         values = [CV(c, x) for c in range(3) for x in range(1, 6)]
         assert max(values, key=key) == CV(0, 1)
         assert min(values, key=key) == CV(2, 5)
+
+    def test_value_key_follows_the_ascending_colors(self, monkeypatch):
+        # sorted by value_key(m), the values form the blocks of colors m-1 down
+        # to 0, each ascending exactly when its color is in _ascending_colors(m);
+        # with none ascending the key is _documented_key, the fast path
+        orders = {**CANDIDATE_ORDERS, "all-asc": lambda m: frozenset(range(m))}
+        for name, ascending in orders.items():
+            monkeypatch.setattr(wreath, "_ascending_colors", ascending)
+            for m in range(1, 6):
+                up, key = ascending(m), value_key(m)
+                assert (key is wreath._documented_key) == (not up), (name, m)
+                for n in range(1, 7):
+                    values = [CV(c, x) for c in range(m) for x in range(1, n + 1)]
+                    for v in values:
+                        assert key(v) == (-v.color, v.magnitude if v.color in up else -v.magnitude)
+                    blocks = [[CV(c, x) for x in (range(1, n + 1) if c in up else range(n, 0, -1))]
+                              for c in reversed(range(m))]
+                    assert sorted(values, key=key) == sum(blocks, []), (name, m, n)
 
     def test_values_have_no_order_of_their_own(self):
         # the order needs the modulus, so a bare comparison has no meaning
