@@ -3,7 +3,9 @@
 Three characterizations give three deciders.  A, the production one: a set
 is admissible exactly when the canonical witness built from it has the set
 as its pinnacles, that is, when its peaks are the positions holding the
-set's elements, a single O(n) scan.  B, a counting inequality: the j
+set's elements, a single O(n) scan.  A lays the witness out as the integer
+ranks of its values (``wreath._value_rank``) and builds the GenPerm only
+when it returns one, for an admissible set.  B, a counting inequality: the j
 lowest elements find enough unused magnitudes below them for their j+1
 neighbors.  C, a reduction: only the top-color slice can fail, so A decides
 that slice alone.  B and C exist so the characterizations can be
@@ -48,6 +50,22 @@ def _violation(P: PinSet) -> AdmissibilityError | None:
     return None
 
 
+def _free_magnitudes(P: PinSet) -> list[int]:
+    # the magnitudes P leaves unused, in the order the top color's values ascend
+    used = P.magnitude_set()
+    up = P.m - 1 in wreath._ascending_colors(P.m)
+    return [x for x in (range(1, P.n + 1) if up else range(P.n, 0, -1)) if x not in used]
+
+
+def _layout(fillers: list, elements) -> list:
+    # the canonical witness's image, position 1 first, from its fillers and
+    # P's elements, each ascending: the word interleaves them, then the fillers left
+    image = [v for pair in zip(fillers, elements) for v in pair]
+    image += fillers[len(elements) :]
+    image.reverse()
+    return image
+
+
 def canonical_witness(P: PinSet) -> GenPerm:
     """The witness interleaving P with top-color fillers, both read ascending.
 
@@ -62,12 +80,18 @@ def canonical_witness(P: PinSet) -> GenPerm:
     violation = _violation(P)
     if violation is not None:
         raise violation
-    used, top = P.magnitude_set(), P.m - 1
-    fillers = sorted([ColoredValue(top, x) for x in range(1, P.n + 1) if x not in used],
-                     key=wreath.value_key(P.m))
-    word = [v for pair in zip(fillers, P.elements) for v in pair] + fillers[len(P) :]
-    word.reverse()  # the image, position 1 first
-    return GenPerm(P.m, word)
+    top = P.m - 1
+    return GenPerm(P.m, _layout([ColoredValue(top, x) for x in _free_magnitudes(P)], P.elements))
+
+
+def _realized(P: PinSet) -> bool:
+    # the canonical witness of a P that passes _violation, as the ranks of its
+    # values: P's elements sit at positions n-1, n-3, ..., n-2d+1 and only
+    # there, so it realizes P exactly when those positions are its peaks
+    rank, top = wreath._value_rank(P.m, P.n), P.m - 1
+    fillers = [rank(top, x) for x in _free_magnitudes(P)]
+    image = _layout(fillers, [rank(cv.color, cv.magnitude) for cv in P.elements])
+    return wreath._peak_positions(image) == frozenset(range(P.n - 1, P.n - 2 * len(P), -2))
 
 
 class Admissibility(_Value):
@@ -89,21 +113,26 @@ class Admissibility(_Value):
 
 
 def admissibility(P: PinSet) -> Admissibility:
-    """Witness decider with diagnostics; never raises on a valid PinSet."""
-    try:
-        witness = canonical_witness(P)
-    except AdmissibilityError as violation:
+    """Witness decider with diagnostics; never raises on a valid PinSet.
+
+    The verdict comes from the witness's ranks; the witness itself is built
+    only for an admissible P, the one outcome that carries it.
+    """
+    violation = _violation(P)
+    if violation is not None:
         return Admissibility(False, violation.code, str(violation))
-    # P's elements sit at positions n-1, n-3, ..., n-2d+1 of the witness and
-    # only there, so it realizes P exactly when those positions are its peaks
-    if wreath.peaks(witness) != frozenset(range(P.n - 1, P.n - 2 * len(P), -2)):
+    if not _realized(P):
         return Admissibility(False, "no-witness", "canonical witness does not realize the set")
-    return Admissibility(True, witness=witness)
+    return Admissibility(True, witness=canonical_witness(P))
 
 
 def is_admissible(P: PinSet) -> bool:
-    """Decider A: the canonical witness realizes P."""
-    return admissibility(P).admissible
+    """Decider A: the canonical witness realizes P.
+
+    The witness is read as the ranks of its values under
+    ``wreath._value_rank``; no GenPerm is built.
+    """
+    return _violation(P) is None and _realized(P)
 
 
 def is_admissible_rec(P: PinSet) -> bool:

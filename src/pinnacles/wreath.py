@@ -109,10 +109,13 @@ class ColoredValue(_Value):
 _set_color, _set_magnitude = ColoredValue.color.__set__, ColoredValue.magnitude.__set__
 
 
+_NONE_ASCEND = frozenset()
+
+
 def _ascending_colors(m: int) -> frozenset[int]:
     # the one definition of the order: the colors of modulus m whose magnitudes
     # ascend; none do in the documented order
-    return frozenset()
+    return _NONE_ASCEND
 
 
 def _documented_key(cv: ColoredValue) -> tuple[int, int]:
@@ -130,6 +133,19 @@ def value_key(m: int) -> Callable[[ColoredValue], tuple[int, int]]:
     if not up:
         return _documented_key
     return lambda cv: (-cv.color, cv.magnitude if cv.color in up else -cv.magnitude)
+
+
+def _value_rank(m: int, n: int) -> Callable[[int, int], int]:
+    """The same order as ``value_key(m)``, as ranks: ``rank(c, x)`` is the position
+    of xi^c(x) among the m*n values of degree n, 0 for the lowest.
+
+    Each color fills a block of n ranks, the top color's the lowest, and its
+    magnitudes run up or down the block as ``_ascending_colors(m)`` says.
+    """
+    up = _ascending_colors(m)
+    if not up:
+        return lambda c, x: (m - c) * n - x
+    return lambda c, x: (m - 1 - c) * n + (x - 1 if c in up else n - x)
 
 
 def check_value(cv: ColoredValue, m: int, n: int) -> None:
@@ -224,10 +240,10 @@ def inverse(w: GenPerm) -> GenPerm:
     return GenPerm(w.m, tuple(out))  # type: ignore[arg-type]
 
 
-def peaks(w: GenPerm) -> frozenset[int]:
-    """Positions j in 2..n-1 whose value sits strictly above both neighbors."""
-    # one pass, mid at position j; the first value is its own left neighbor, never a peak
-    keys = map(value_key(w.m), w.image)
+def _peak_positions(keys: Iterable) -> frozenset[int]:
+    # one pass over the keys of positions 1, 2, ..., mid at position j; the
+    # first key is its own left neighbor, never a peak
+    keys = iter(keys)
     left = mid = next(keys)
     found = []
     for j, right in enumerate(keys, start=1):
@@ -235,6 +251,11 @@ def peaks(w: GenPerm) -> frozenset[int]:
             found.append(j)
         left, mid = mid, right
     return frozenset(found)
+
+
+def peaks(w: GenPerm) -> frozenset[int]:
+    """Positions j in 2..n-1 whose value sits strictly above both neighbors."""
+    return _peak_positions(map(value_key(w.m), w.image))
 
 
 def max_pinnacles(n: int) -> int:

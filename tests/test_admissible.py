@@ -131,23 +131,36 @@ class TestWitnessDecider:
         # A against its definition: P is admissible exactly when its canonical
         # witness exists and has P as its pinnacle set, and the outcome carries
         # that witness or the reason there is none
-        grid = [P for m, n in [(1, 7), (2, 6), (3, 5), (4, 5)] for P in subsets_up_to_cap(m, n)]
-        verdicts = set()
-        for P in itertools.chain(grid, seeded_large_sets()):
-            try:
-                witness = canonical_witness(P)
-            except AdmissibilityError as violation:
-                expected = Admissibility(False, violation.code, str(violation))
+        check_a_against_the_witness()
+
+    def test_rank_route_follows_the_order(self, monkeypatch):
+        # A decides on the witness's ranks, which read the order through
+        # wreath._value_rank; under top-asc they must still give the verdicts
+        # of the witness built from value objects
+        monkeypatch.setattr(wreath, "_ascending_colors", CANDIDATE_ORDERS["top-asc"])
+        check_a_against_the_witness()
+
+
+def check_a_against_the_witness():
+    # the grid is built here, so its sets are sorted under the order in force
+    grid = [P for m, n in [(1, 7), (2, 6), (3, 5), (4, 5)] for P in subsets_up_to_cap(m, n)]
+    verdicts = set()
+    for P in itertools.chain(grid, seeded_large_sets()):
+        try:
+            witness = canonical_witness(P)
+        except AdmissibilityError as violation:
+            expected = Admissibility(False, violation.code, str(violation))
+        else:
+            if pinnacle_set(witness) == P:
+                expected = Admissibility(True, witness=witness)
             else:
-                if pinnacle_set(witness) == P:
-                    expected = Admissibility(True, witness=witness)
-                else:
-                    expected = Admissibility(
-                        False, "no-witness", "canonical witness does not realize the set"
-                    )
-            assert admissibility(P) == expected, str(P)
-            verdicts.add(expected.code)
-        assert verdicts == {None, "no-witness", "repeated-magnitude"}
+                expected = Admissibility(
+                    False, "no-witness", "canonical witness does not realize the set"
+                )
+        assert admissibility(P) == expected, str(P)
+        assert is_admissible(P) == expected.admissible, str(P)
+        verdicts.add(expected.code)
+    assert verdicts == {None, "no-witness", "repeated-magnitude"}
 
 
 class TestDeciderAgreement:
@@ -210,6 +223,21 @@ class TestDeciderAgreement:
             for P, verdict in zip(sets, verdicts):
                 assert is_admissible_rec(P) == verdict, (name, str(P))
         assert calls == []
+
+    def test_decider_a_builds_a_witness_only_to_return_it(self, monkeypatch):
+        # A and C decide on the witness's ranks; admissibility builds the one
+        # GenPerm it returns, for an admissible set, and none otherwise
+        built, init = [], GenPerm.__init__
+        monkeypatch.setattr(GenPerm, "__init__", lambda self, *args: built.append(args) or init(self, *args))
+        admissible = PinSet(4, 201, ((3, 2), (0, 100), (1, 7), (3, 150)))
+        inadmissible = PinSet(3, 10, ((2, 10), (0, 5)))
+        repeated = PinSet(3, 10, ((2, 4), (0, 4)))
+        for P, verdict in ((admissible, True), (inadmissible, False), (repeated, False)):
+            assert is_admissible(P) == is_admissible_top(P) == verdict, str(P)
+            assert built == []
+            assert admissibility(P).admissible == verdict, str(P)
+            assert len(built) == verdict, str(P)
+            built.clear()
 
     def test_deciders_agree_on_seeded_large_sets(self):
         verdicts = set()

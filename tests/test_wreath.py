@@ -107,6 +107,20 @@ class TestOrder:
                               for c in reversed(range(m))]
                     assert sorted(values, key=key) == sum(blocks, []), (name, m, n)
 
+    def test_value_rank_is_the_position_under_value_key(self, monkeypatch):
+        # _value_rank(m, n) is a second view of the same order: sorted by
+        # value_key(m), the colored values of degree n have ranks 0, 1, ..., m*n-1
+        orders = {**CANDIDATE_ORDERS, "all-asc": lambda m: frozenset(range(m))}
+        for name, ascending in orders.items():
+            monkeypatch.setattr(wreath, "_ascending_colors", ascending)
+            for m in range(1, 6):
+                key = value_key(m)
+                for n in range(1, 7):
+                    rank = wreath._value_rank(m, n)
+                    values = sorted((CV(c, x) for c in range(m) for x in range(1, n + 1)), key=key)
+                    ranks = [rank(v.color, v.magnitude) for v in values]
+                    assert ranks == list(range(m * n)), (name, m, n)
+
     def test_values_have_no_order_of_their_own(self):
         # the order needs the modulus, so a bare comparison has no meaning
         with pytest.raises(TypeError):
