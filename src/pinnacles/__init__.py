@@ -25,7 +25,7 @@ _EXPORTS = {
                "collect_pinnacle_sets"),
     "shifts": ("ShiftParams", "shift_perm", "shift_set"),
     "wreath": ("ColoredValue", "GenPerm", "GroupParams", "PinSet", "color_sum", "in_subgroup",
-               "inverse", "max_pinnacles", "multiply", "peaks", "pinnacle_set", "value_key"),
+               "inverse", "max_pinnacles", "multiply", "peaks", "pinnacle_set", "value_rank"),
 }
 _HOMES = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -26,13 +26,14 @@ candidate with pinnacle color sum base:
 
 Two routes count the lost sets.  The enumeration (``lost_enumerated``, the
 reference) lists every candidate and runs one matching for it
-(``_sum_range``), C(n,r) p^r (r+1) slot tests in all.  The sweep (``lost``)
-places the magnitudes in that order, each a filler or a pinnacle of one
-color, and keeps per partial set only the counters the facts read, so that
-partial sets with equal counters merge: the color of p_1, fixed up front,
-and whether p_1 is placed; the pinnacles, top-color slots and up slots
-placed; the running Hall maxima; the partial width; and eps_min - delta mod
-p.  A partial width past p-2 is never lost, so it is dropped.
+(``_sum_range``), C(n,r) p^r (r+1) slot tests in all; it works on the
+ranks of ``wreath.value_rank(p, n)`` and builds no value.  The sweep
+(``lost``) places the magnitudes in that order, each a filler or a pinnacle
+of one color, and keeps per partial set only the counters the facts read,
+so that partial sets with equal counters merge: the color of p_1, fixed up
+front, and whether p_1 is placed; the pinnacles, top-color slots and up
+slots placed; the running Hall maxima; the partial width; and eps_min -
+delta mod p.  A partial width past p-2 is never lost, so it is dropped.
 """
 
 from __future__ import annotations
@@ -64,13 +65,14 @@ def _augment(options: list[int], owner: dict[int, int], s: int) -> bool:
 
 
 def _tables(m: int, n: int):
-    # ranks under wreath.value_key(m); per rank, its color and the magnitudes lower in it
-    values = sorted((wreath.ColoredValue(c, x) for c in range(m) for x in range(1, n + 1)),
-                    key=wreath.value_key(m))
-    rank = {(v.color, v.magnitude): i for i, v in enumerate(values)}
-    cheap = [sum(1 << y for y in range(1, n + 1) if rank[v.color, y] < i)
-             for i, v in enumerate(values)]
-    return rank, [v.color for v in values], cheap
+    # the ranks under wreath.value_rank(m, n); per rank, its color and the
+    # magnitudes lower in it
+    rank, color = wreath.value_rank(m, n), [0] * (m * n)
+    for c in range(m):
+        for x in range(1, n + 1):
+            color[rank(c, x)] = c
+    cheap = [sum(1 << y for y in range(1, n + 1) if rank(c, y) < i) for i, c in enumerate(color)]
+    return rank, color, cheap
 
 
 def _sum_range(color: list[int], cheap: list[int], pins: list[int], unused: int, top: int):
@@ -91,7 +93,7 @@ def _maximal_sets(p: int, n: int):
     for mags in combinations(range(1, n + 1), n // 2):
         unused = (2 << n) - 2 - sum(1 << x for x in mags)  # bit x: x is not a pinnacle
         for colors in product(range(p), repeat=len(mags)):
-            pins = sorted(rank[c, x] for c, x in zip(colors, mags))
+            pins = sorted(map(rank, colors, mags))
             yield mags, colors, _sum_range(color, cheap, pins, unused, p - 1)
 
 

@@ -4,11 +4,12 @@ Three characterizations give three deciders.  A, the production one: a set
 is admissible exactly when the canonical witness built from it has the set
 as its pinnacles, that is, when its peaks are the positions holding the
 set's elements, a single O(n) scan.  A lays the witness out as the integer
-ranks of its values (``wreath._value_rank``) and builds the GenPerm only
-when it returns one, for an admissible set.  B, a counting inequality: the j
-lowest elements find enough unused magnitudes below them for their j+1
-neighbors.  C, a reduction: only the top-color slice can fail, so A decides
-that slice alone.  B and C exist so the characterizations can be
+ranks of its values (``wreath.value_rank``), the order every sort and
+comparison of values reads, and builds the GenPerm only when it returns
+one, for an admissible set.  B, a counting inequality: the j lowest
+elements find enough unused magnitudes below them for their j+1 neighbors.
+C, a reduction: only the top-color slice can fail, so A's witness test
+decides that slice alone.  B and C exist so the characterizations can be
 cross-checked against each other and against brute force.
 """
 
@@ -71,7 +72,7 @@ def canonical_witness(P: PinSet) -> GenPerm:
 
     Word layout (positions n down to 1), with xi^(m-1)(v_1) < xi^(m-1)(v_2)
     < ... the top-color values on the unused magnitudes and p_1 < p_2 < ...
-    the elements of P, both ascending in the order ``wreath.value_key(P.m)``:
+    the elements of P, both ascending under ``wreath.value_rank(P.m, P.n)``:
 
         xi^(m-1)(v_1)  p_1  xi^(m-1)(v_2)  p_2 ... p_d  xi^(m-1)(v_{d+1}) ...
 
@@ -88,7 +89,7 @@ def _realized(P: PinSet) -> bool:
     # the canonical witness of a P that passes _violation, as the ranks of its
     # values: P's elements sit at positions n-1, n-3, ..., n-2d+1 and only
     # there, so it realizes P exactly when those positions are its peaks
-    rank, top = wreath._value_rank(P.m, P.n), P.m - 1
+    rank, top = wreath.value_rank(P.m, P.n), P.m - 1
     fillers = [rank(top, x) for x in _free_magnitudes(P)]
     image = _layout(fillers, [rank(cv.color, cv.magnitude) for cv in P.elements])
     return wreath._peak_positions(image) == frozenset(range(P.n - 1, P.n - 2 * len(P), -2))
@@ -130,7 +131,7 @@ def is_admissible(P: PinSet) -> bool:
     """Decider A: the canonical witness realizes P.
 
     The witness is read as the ranks of its values under
-    ``wreath._value_rank``; no GenPerm is built.
+    ``wreath.value_rank``; no GenPerm is built.
     """
     return _violation(P) is None and _realized(P)
 
@@ -167,7 +168,7 @@ def is_admissible_top(P: PinSet) -> bool:
     The order puts higher colors lower, so every lower-color element lies
     above all top-color values and has neighbors to spare.  The top-color
     slice, its magnitudes packed onto the ones the lower colors leave, is
-    decided by decider A at the same modulus.
+    decided by decider A's witness test at the same modulus.
     """
     if _violation(P) is not None:
         return False
@@ -175,4 +176,8 @@ def is_admissible_top(P: PinSet) -> bool:
     lower = sorted(cv.magnitude for cv in P.elements if cv.color != top)
     packed = tuple(ColoredValue(top, cv.magnitude - bisect_left(lower, cv.magnitude))
                    for cv in P.elements if cv.color == top)
-    return is_admissible(PinSet(P.m, P.n - len(lower), packed))
+    # the slice passes _violation too, so A's precondition is not run again:
+    # packing is injective on the magnitudes the lower colors leave, so its
+    # d-l magnitudes stay distinct, and 2d <= n-1 gives 2(d-l) <= n-l-1,
+    # within the cap of degree n-l
+    return _realized(PinSet(P.m, P.n - len(lower), packed))

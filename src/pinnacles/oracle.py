@@ -147,7 +147,8 @@ class OracleReport(_Value):
 
     ``stats`` is in print order: by cardinality, then by the bitmap, the sum of
     2**(c*n + x - 1) over the elements xi^c(x), so the element with the largest
-    c*n + x decides first.  The order does not read ``wreath.value_key``.
+    c*n + x decides first, whatever the order ``wreath.value_rank`` puts
+    the values in.
     """
 
     __slots__ = ("params", "stats", "scanned")

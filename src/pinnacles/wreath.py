@@ -14,13 +14,13 @@ colors of modulus m whose magnitudes ascend; none do in the documented order:
 
 so the plain integers sit on top, reversed.  A pinnacle of w is a value
 strictly above both word neighbors under this order.  Code that sorts or
-compares values uses ``value_key(m)``, the sort key derived from that set;
-code that needs the order's shape reads the set.  Values themselves are
-unordered: slots do not give ColoredValue an order.  GenPerm coerces plain
-pairs only when some value is not already a ColoredValue; PinSet coerces
-them as it collects its set.  Both check their values in one pass with
-``check_value``'s comparisons inline, and call it only on the first value
-that fails, so a rejection names that value.
+compares values uses ``value_rank(m, n)``, the integer ranks 0..m*n-1 read
+from that set; code that needs the order's shape reads the set.  Values
+themselves are unordered: slots do not give ColoredValue an order.  GenPerm
+coerces plain pairs only when some value is not already a ColoredValue;
+PinSet coerces them all first.  Both check their values in input order in
+one pass with ``check_value``'s comparisons inline, and call it only on the
+first value that fails, so a rejection names that value.
 
 Value semantics live in one private base, ``_Value``, which every value type
 of the package derives from: fields named by ``__slots__``, equality and
@@ -85,7 +85,7 @@ class _Value:
 
 
 class ColoredValue(_Value):
-    """A symbolic xi^color(magnitude); compare values by ``value_key(m)``."""
+    """A symbolic xi^color(magnitude); compare values by ``value_rank(m, n)``."""
 
     __slots__ = ("color", "magnitude")
 
@@ -118,29 +118,14 @@ def _ascending_colors(m: int) -> frozenset[int]:
     return _NONE_ASCEND
 
 
-def _documented_key(cv: ColoredValue) -> tuple[int, int]:
-    return (-cv.color, -cv.magnitude)
+def value_rank(m: int, n: int) -> Callable[[int, int], int]:
+    """The order of the colored values of modulus m and degree n, as ranks.
 
-
-def value_key(m: int) -> Callable[[ColoredValue], tuple[int, int]]:
-    """The sort key of the colored values of modulus m, read from ``_ascending_colors(m)``.
-
-    u sits below v exactly when ``key(u) < key(v)`` for ``key = value_key(m)``:
-    a higher color is lower, and one color's magnitudes ascend if it is among
-    the ascending colors and descend if not.
-    """
-    up = _ascending_colors(m)
-    if not up:
-        return _documented_key
-    return lambda cv: (-cv.color, cv.magnitude if cv.color in up else -cv.magnitude)
-
-
-def _value_rank(m: int, n: int) -> Callable[[int, int], int]:
-    """The same order as ``value_key(m)``, as ranks: ``rank(c, x)`` is the position
-    of xi^c(x) among the m*n values of degree n, 0 for the lowest.
-
-    Each color fills a block of n ranks, the top color's the lowest, and its
-    magnitudes run up or down the block as ``_ascending_colors(m)`` says.
+    ``rank(c, x)`` for ``rank = value_rank(m, n)`` is the position of xi^c(x)
+    among the m*n values, 0 for the lowest, read from ``_ascending_colors(m)``:
+    each color fills a block of n ranks, the top color's the lowest, and its
+    magnitudes run up the block if it is among the ascending colors and down
+    it if not.  Only values in range have ranks that mean anything.
     """
     up = _ascending_colors(m)
     if not up:
@@ -255,7 +240,8 @@ def _peak_positions(keys: Iterable) -> frozenset[int]:
 
 def peaks(w: GenPerm) -> frozenset[int]:
     """Positions j in 2..n-1 whose value sits strictly above both neighbors."""
-    return _peak_positions(map(value_key(w.m), w.image))
+    rank = value_rank(w.m, w.n)
+    return _peak_positions([rank(cv.color, cv.magnitude) for cv in w.image])
 
 
 def max_pinnacles(n: int) -> int:
@@ -310,16 +296,20 @@ class PinSet(_Value):
 
     def __init__(self, m: int, n: int, elements: Iterable = ()) -> None:
         m, n = operator.index(m), operator.index(n)
-        elems = {v if isinstance(v, ColoredValue) else _coerce_value(v) for v in elements}
-        elems = tuple(sorted(elems, key=value_key(m)))
-        _set(self, "m", m)
-        _set(self, "n", n)
-        _set(self, "elements", elems)
+        elems = [v if isinstance(v, ColoredValue) else _coerce_value(v) for v in elements]
         if m < 1 or n < 1:
             raise ValueError(f"bad ambient (m={m}, n={n})")
+        # each value is checked before it is ranked: in range, ranks are
+        # distinct exactly when values are, so keying by rank drops repeats
+        rank, by_rank = value_rank(m, n), {}
         for cv in elems:
-            if not (0 <= cv.color < m and 1 <= cv.magnitude <= n):
+            c, x = cv.color, cv.magnitude
+            if not (0 <= c < m and 1 <= x <= n):
                 check_value(cv, m, n)
+            by_rank[rank(c, x)] = cv
+        _set(self, "m", m)
+        _set(self, "n", n)
+        _set(self, "elements", tuple([by_rank[r] for r in sorted(by_rank)]))
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

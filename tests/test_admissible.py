@@ -20,7 +20,7 @@ from pinnacles.admissible import (
     max_pinnacles,
 )
 from pinnacles import wreath
-from pinnacles.wreath import ColoredValue, GenPerm, PinSet, pinnacle_set, value_key
+from pinnacles.wreath import ColoredValue, GenPerm, PinSet, pinnacle_set, value_rank
 from test_acceptance import CANDIDATE_ORDERS
 
 CV = ColoredValue
@@ -89,9 +89,9 @@ class TestCanonicalWitness:
         word = w.word
         pins = [v for v in word if v in P.elements]
         fills = [v for v in word if v not in P.elements]
-        key = value_key(P.m)
-        assert pins == sorted(pins, key=key)
-        assert fills == sorted(fills, key=key)
+        rank = value_rank(P.m, P.n)
+        assert pins == sorted(pins, key=lambda v: rank(v.color, v.magnitude))
+        assert fills == sorted(fills, key=lambda v: rank(v.color, v.magnitude))
         assert all(v.color == P.m - 1 for v in fills)
 
     def test_max_pinnacle_word_attains_bound(self):
@@ -135,7 +135,7 @@ class TestWitnessDecider:
 
     def test_rank_route_follows_the_order(self, monkeypatch):
         # A decides on the witness's ranks, which read the order through
-        # wreath._value_rank; under top-asc they must still give the verdicts
+        # wreath.value_rank; under top-asc they must still give the verdicts
         # of the witness built from value objects
         monkeypatch.setattr(wreath, "_ascending_colors", CANDIDATE_ORDERS["top-asc"])
         check_a_against_the_witness()
@@ -208,13 +208,13 @@ class TestDeciderAgreement:
 
     def test_decider_b_reads_the_order_once_not_per_magnitude(self, monkeypatch):
         # B reads the top color's direction from wreath._ascending_colors and
-        # bisects over the used magnitudes; it calls no value_key, so its work
+        # bisects over the used magnitudes; it calls no value_rank, so its work
         # does not grow with the degree
         n, calls = 10**5, []
         sets = [PinSet(3, n, ((2, 2), (2, 7), (0, 50_000), (1, 3), (2, 99_998))),
                 PinSet(3, n, ((2, 99_999), (2, 40), (1, 5))),
                 PinSet(3, n, ((2, 1), (2, 3), (0, 2)))]
-        monkeypatch.setattr(wreath, "value_key", lambda m: calls.append(m))
+        monkeypatch.setattr(wreath, "value_rank", lambda m, n: calls.append((m, n)))
         # where the top color ascends, its lowest element 2:2, 2:40 or 2:1 has
         # 1, 38 or 0 unused magnitudes below it; where it descends, 2:99998,
         # 2:99999 or 2:3 has 2, 1 or 99995 above it

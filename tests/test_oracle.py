@@ -230,7 +230,7 @@ class TestEnginesAndPartitioning:
             assert vectorized == reference, (m, p, n)
             assert list(vectorized.stats) == list(reference.stats)
 
-    def test_listing_order_does_not_read_value_key(self, monkeypatch):
+    def test_listing_order_does_not_follow_the_value_order(self, monkeypatch):
         # sets are listed by cardinality, then by the bitmap of bits c*n + x - 1,
         # whatever the value order; under top-asc a listing read in the value
         # order differs from that on these groups

@@ -25,7 +25,7 @@ from pinnacles.wreath import (
     multiply,
     peaks,
     pinnacle_set,
-    value_key,
+    value_rank,
 )
 from test_acceptance import CANDIDATE_ORDERS
 
@@ -48,8 +48,25 @@ colored_values = st.builds(
     CV, color=st.integers(0, 6), magnitude=st.integers(1, 12)
 )
 
-# colored_values draws colors 0..6, so they compare under the key of modulus 7
-KEY7 = value_key(7)
+# colored_values draws colors 0..6 and magnitudes 1..12, so they compare
+# under the ranks of modulus 7 and degree 12
+_RANKS_7_12 = value_rank(7, 12)
+
+
+def rank7(cv):
+    return _RANKS_7_12(cv.color, cv.magnitude)
+
+
+# every candidate order, and the one in which every color ascends
+ALL_ORDERS = {**CANDIDATE_ORDERS, "all-asc": lambda m: frozenset(range(m))}
+
+
+def value_key(m):
+    """The value order written as a tuple sort key, a second statement of it
+    for value_rank to agree with: a higher color is lower, and within a color
+    the magnitudes ascend exactly when the color is in _ascending_colors(m)."""
+    up = wreath._ascending_colors(m)
+    return lambda v: (-v.color, v.magnitude if v.color in up else -v.magnitude)
 
 
 @st.composite
@@ -75,48 +92,45 @@ def gen_perm_pairs(draw, max_m=5, max_n=8):
 
 class TestOrder:
     def test_higher_color_is_lower(self):
-        assert KEY7(CV(2, 10)) < KEY7(CV(1, 3))
+        assert rank7(CV(2, 10)) < rank7(CV(1, 3))
 
     def test_within_color_larger_magnitude_is_lower(self):
-        assert KEY7(CV(0, 3)) < KEY7(CV(0, 2))
+        assert rank7(CV(0, 3)) < rank7(CV(0, 2))
 
     def test_reflexive_equality(self):
         assert CV(1, 4) == CV(1, 4)
 
     def test_plain_one_is_global_maximum(self):
-        key = value_key(3)
+        rank = value_rank(3, 5)
         values = [CV(c, x) for c in range(3) for x in range(1, 6)]
-        assert max(values, key=key) == CV(0, 1)
-        assert min(values, key=key) == CV(2, 5)
+        assert max(values, key=lambda v: rank(v.color, v.magnitude)) == CV(0, 1)
+        assert min(values, key=lambda v: rank(v.color, v.magnitude)) == CV(2, 5)
 
     def test_value_key_follows_the_ascending_colors(self, monkeypatch):
-        # sorted by value_key(m), the values form the blocks of colors m-1 down
-        # to 0, each ascending exactly when its color is in _ascending_colors(m);
-        # with none ascending the key is _documented_key, the fast path
-        orders = {**CANDIDATE_ORDERS, "all-asc": lambda m: frozenset(range(m))}
-        for name, ascending in orders.items():
+        # read in rank order, and sorted by the tuple key value_key(m), the
+        # values of degree n form the blocks of colors m-1 down to 0, each
+        # ascending exactly when its color is in _ascending_colors(m)
+        for name, ascending in ALL_ORDERS.items():
             monkeypatch.setattr(wreath, "_ascending_colors", ascending)
             for m in range(1, 6):
                 up, key = ascending(m), value_key(m)
-                assert (key is wreath._documented_key) == (not up), (name, m)
                 for n in range(1, 7):
+                    rank = value_rank(m, n)
                     values = [CV(c, x) for c in range(m) for x in range(1, n + 1)]
-                    for v in values:
-                        assert key(v) == (-v.color, v.magnitude if v.color in up else -v.magnitude)
-                    blocks = [[CV(c, x) for x in (range(1, n + 1) if c in up else range(n, 0, -1))]
-                              for c in reversed(range(m))]
-                    assert sorted(values, key=key) == sum(blocks, []), (name, m, n)
+                    blocks = [CV(c, x) for c in reversed(range(m))
+                              for x in (range(1, n + 1) if c in up else range(n, 0, -1))]
+                    assert sorted(values, key=key) == blocks, (name, m, n)
+                    assert sorted(values, key=lambda v: rank(v.color, v.magnitude)) == blocks, (name, m, n)
 
     def test_value_rank_is_the_position_under_value_key(self, monkeypatch):
-        # _value_rank(m, n) is a second view of the same order: sorted by
-        # value_key(m), the colored values of degree n have ranks 0, 1, ..., m*n-1
-        orders = {**CANDIDATE_ORDERS, "all-asc": lambda m: frozenset(range(m))}
-        for name, ascending in orders.items():
+        # value_rank(m, n) is the position under value_key(m): sorted by the
+        # tuple key, the m*n values of degree n have ranks 0, 1, ..., m*n-1
+        for name, ascending in ALL_ORDERS.items():
             monkeypatch.setattr(wreath, "_ascending_colors", ascending)
             for m in range(1, 6):
                 key = value_key(m)
                 for n in range(1, 7):
-                    rank = wreath._value_rank(m, n)
+                    rank = value_rank(m, n)
                     values = sorted((CV(c, x) for c in range(m) for x in range(1, n + 1)), key=key)
                     ranks = [rank(v.color, v.magnitude) for v in values]
                     assert ranks == list(range(m * n)), (name, m, n)
@@ -128,12 +142,12 @@ class TestOrder:
 
     @given(colored_values, colored_values)
     def test_trichotomy(self, u, v):
-        assert (KEY7(u) < KEY7(v)) + (u == v) + (KEY7(v) < KEY7(u)) == 1
+        assert (rank7(u) < rank7(v)) + (u == v) + (rank7(v) < rank7(u)) == 1
 
     @given(colored_values, colored_values, colored_values)
     def test_transitivity(self, u, v, w):
-        if KEY7(u) < KEY7(v) and KEY7(v) < KEY7(w):
-            assert KEY7(u) < KEY7(w)
+        if rank7(u) < rank7(v) and rank7(v) < rank7(w):
+            assert rank7(u) < rank7(w)
 
 
 class TestGroupOps:
@@ -395,9 +409,10 @@ def per_value_gen_perm(m, raw):
 
 
 def per_value_pin_set(m, n, raw):
-    elements = tuple(sorted(set(coerced(raw)), key=value_key(m)))
+    elements = coerced(raw)
     per_value_check(elements, m, n, False)
-    return elements
+    rank = value_rank(m, n)
+    return tuple(sorted(set(elements), key=lambda v: rank(v.color, v.magnitude)))
 
 
 class TestValueChecks:
@@ -421,6 +436,17 @@ class TestValueChecks:
         assert outcome(lambda: PinSet(m, n, raw).elements) == expected
         assert outcome(lambda: PinSet(m, n, iter(raw)).elements) == expected
         assert outcome(lambda: PinSet(m, n, as_lists(raw)).elements) == expected
+
+    def test_pin_set_names_the_first_bad_value_in_input_order(self):
+        # ranks depend on n, so values out of range can tie (xi^0(7) and
+        # xi^2(1) both rank -1 at m = 2, n = 3); PinSet checks its values
+        # before it sorts them, and xi^0(7) is not the lower of the two
+        raw = ((0, 7), (2, 1))
+        for elements in (raw, iter(raw), as_lists(raw), tuple(CV(c, x) for c, x in raw)):
+            with pytest.raises(ValueError, match="^magnitude 7 out of range for degree 3$"):
+                PinSet(2, 3, elements)
+        with pytest.raises(ValueError, match="^color 2 out of range for modulus 2$"):
+            PinSet(2, 3, raw[::-1])
 
     def test_plain_pairs_must_hold_integers(self):
         # a float or a string is neither truncated nor parsed
